@@ -51,8 +51,11 @@ echo
 echo "=== build + test (threaded + liveness suites): tsan preset ==="
 cmake --preset tsan
 cmake --build --preset tsan -j
+# fabric_soak_test is tier2 but named here: it is the one suite that opens
+# thousands of connections and creates per-peer counter slots from many
+# loop threads at once.
 ctest --test-dir build-tsan --output-on-failure -j 4 \
-  -R "pcache_test|pcache_property_test|tcp_cluster_test|sched_test|tcp_fabric_test|fabric_reactor_test|heartbeat_test|conformance_test|federation_test|cms_cache_property_test"
+  -R "pcache_test|pcache_property_test|tcp_cluster_test|sched_test|tcp_fabric_test|fabric_reactor_test|fabric_soak_test|heartbeat_test|conformance_test|federation_test|cms_cache_property_test"
 # The heartbeat/drain/suspend story over real threads lives inside
 # chaos_test (tier2, TcpLivenessTest fixture) — run the whole suite.
 ctest --test-dir build-tsan --output-on-failure -R chaos_test

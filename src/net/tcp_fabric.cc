@@ -39,7 +39,40 @@ std::uint64_t LinkKey(NodeAddr a, NodeAddr b) {
   return a < b ? PairKey(a, b) : PairKey(b, a);
 }
 
+void Bump(std::atomic<std::uint64_t>& counter, std::uint64_t delta = 1) {
+  counter.fetch_add(delta, std::memory_order_relaxed);
+}
+
 }  // namespace
+
+// One remote peer's counters, updated without a lock from any thread.
+// Aligned so two peers' slots never share a cache line.
+struct alignas(64) TcpFabric::PeerCounters {
+  std::atomic<std::uint64_t> messagesSent{0};
+  std::atomic<std::uint64_t> messagesDelivered{0};
+  std::atomic<std::uint64_t> messagesDropped{0};
+  std::atomic<std::uint64_t> framesSent{0};
+  std::atomic<std::uint64_t> framesReceived{0};
+  std::atomic<std::uint64_t> bytesSent{0};
+  std::atomic<std::uint64_t> bytesReceived{0};
+  std::atomic<std::uint64_t> reconnects{0};
+  std::atomic<std::uint64_t> idleReaps{0};
+  std::atomic<std::uint64_t> queueOverflows{0};
+
+  void AddTo(Counters& out) const {
+    constexpr auto kRelaxed = std::memory_order_relaxed;
+    out.messagesSent += messagesSent.load(kRelaxed);
+    out.messagesDelivered += messagesDelivered.load(kRelaxed);
+    out.messagesDropped += messagesDropped.load(kRelaxed);
+    out.framesSent += framesSent.load(kRelaxed);
+    out.framesReceived += framesReceived.load(kRelaxed);
+    out.bytesSent += bytesSent.load(kRelaxed);
+    out.bytesReceived += bytesReceived.load(kRelaxed);
+    out.reconnects += reconnects.load(kRelaxed);
+    out.idleReaps += idleReaps.load(kRelaxed);
+    out.queueOverflows += queueOverflows.load(kRelaxed);
+  }
+};
 
 struct TcpFabric::Endpoint {
   NodeAddr addr = 0;
@@ -87,7 +120,8 @@ class TcpFabric::Listener final : public EventHandler {
 // ---------------------------------------------------------------------------
 // InConn: one accepted socket. Reads are readiness-driven into a reusable
 // rx buffer; frames are parsed incrementally (a frame may arrive across
-// any number of reads) and delivered to the endpoint's sink.
+// any number of reads) and delivered to the endpoint's sink: inline, or
+// as one executor task per read slice.
 
 class TcpFabric::InConn final : public EventHandler,
                                 public std::enable_shared_from_this<InConn> {
@@ -142,7 +176,9 @@ class TcpFabric::InConn final : public EventHandler,
         return;
       }
       readThisPass += static_cast<std::size_t>(n);
-      if (!ParseFrames()) {  // malformed input: drop the connection
+      const bool wellFormed = ParseFrames();
+      PostBatch();
+      if (!wellFormed) {  // malformed input: drop the connection
         CloseOnLoop();
         return;
       }
@@ -152,6 +188,11 @@ class TcpFabric::InConn final : public EventHandler,
   }
 
  private:
+  struct Delivery {
+    NodeAddr from;
+    proto::Message message;
+  };
+
   // Parses every complete frame currently buffered. Returns false on a
   // frame that can never become valid (bad length, undecodable body).
   bool ParseFrames() {
@@ -176,29 +217,43 @@ class TcpFabric::InConn final : public EventHandler,
         return false;
       }
       pos_ += kFrameHeader + length;
-      fabric_->counters_.framesReceived.fetch_add(1, std::memory_order_relaxed);
-      fabric_->counters_.bytesReceived.fetch_add(kFrameHeader + length,
-                                                 std::memory_order_relaxed);
-      fabric_->AddPeerReceived(sender, 1, kFrameHeader + length);
+      PeerCounters& peer = SlotFor(sender);
+      Bump(peer.framesReceived);
+      Bump(peer.bytesReceived, kFrameHeader + length);
       // A downed receiver drops inbound traffic too; a wedged end (either
       // side) silently loses it — the connection stays up.
       if (!fabric_->Reachable(sender, ep_->addr) ||
           fabric_->EitherWedged(sender, ep_->addr)) {
-        fabric_->counters_.messagesDropped.fetch_add(1, std::memory_order_relaxed);
-        fabric_->BumpPeer(sender, &Counters::messagesDropped);
+        Bump(peer.messagesDropped);
         continue;
       }
-      fabric_->counters_.messagesDelivered.fetch_add(1, std::memory_order_relaxed);
-      fabric_->BumpPeer(sender, &Counters::messagesDelivered);
-      MessageSink* sink = ep_->sink;
+      Bump(peer.messagesDelivered);
       if (ep_->executor != nullptr) {
-        ep_->executor->Post([sink, sender, msg = std::move(*message)]() mutable {
-          sink->OnMessage(sender, std::move(msg));
-        });
+        batch_.push_back({sender, std::move(*message)});
       } else {
-        sink->OnMessage(sender, std::move(*message));
+        ep_->sink->OnMessage(sender, std::move(*message));
       }
     }
+  }
+
+  // Hands the frames parsed from one read slice to the executor as a
+  // single task; the executor's FIFO keeps them behind earlier slices.
+  void PostBatch() {
+    if (batch_.empty()) return;
+    ep_->executor->Post([sink = ep_->sink, batch = std::move(batch_)]() mutable {
+      for (Delivery& d : batch) sink->OnMessage(d.from, std::move(d.message));
+    });
+    batch_.clear();
+  }
+
+  // An inbound connection normally carries one sender, so the slot lookup
+  // (a lock) happens once per connection rather than once per frame.
+  PeerCounters& SlotFor(NodeAddr sender) {
+    if (slot_ == nullptr || sender != slotPeer_) {
+      slot_ = &fabric_->PeerSlot(sender);
+      slotPeer_ = sender;
+    }
+    return *slot_;
   }
 
   void Compact() {
@@ -223,6 +278,9 @@ class TcpFabric::InConn final : public EventHandler,
   bool closed_ = false;
   std::string rx_;        // unparsed bytes live in [pos_, rx_.size())
   std::size_t pos_ = 0;
+  std::vector<Delivery> batch_;  // parsed, not yet posted to the executor
+  NodeAddr slotPeer_ = 0;
+  PeerCounters* slot_ = nullptr;  // counters of sender slotPeer_
 };
 
 // ---------------------------------------------------------------------------
@@ -235,9 +293,14 @@ class TcpFabric::OutConn final : public EventHandler,
                                  public std::enable_shared_from_this<OutConn> {
  public:
   OutConn(TcpFabric* fabric, NodeAddr from, NodeAddr to, Reactor::Loop* loop)
-      : fabric_(fabric), from_(from), to_(to), loop_(loop) {}
+      : fabric_(fabric),
+        from_(from),
+        to_(to),
+        loop_(loop),
+        peer_(fabric->PeerSlot(to)) {}
 
   Reactor::Loop* loop() const { return loop_; }
+  PeerCounters& peer() const { return peer_; }
 
   // Any thread. False means the bounded queue is full (frame not taken).
   bool Enqueue(std::string frame) {
@@ -350,8 +413,7 @@ class TcpFabric::OutConn final : public EventHandler,
       // Replacing a cached connection that had worked: that is a
       // reconnect, and it is transparent unless the new connect fails.
       staleClosed_ = false;
-      fabric_->counters_.reconnects.fetch_add(1, std::memory_order_relaxed);
-      fabric_->BumpPeer(to_, &Counters::reconnects);
+      Bump(peer_.reconnects);
     }
     StartConnect();
   }
@@ -421,10 +483,32 @@ class TcpFabric::OutConn final : public EventHandler,
   void DrainWrites() {
     for (;;) {
       if (stopped_ || state_ != State::kConnected) return;
-      // Faults injected after enqueue: those frames are lost in flight,
-      // silently (Send-time signalling already happened). If half a frame
-      // already hit the wire, drop the socket too so the peer's framing
-      // never desynchronizes; the next send transparently reconnects.
+      // Build a writev batch from the queue front. The references stay
+      // valid while unlocked: only this thread pops, and deque push_back
+      // does not invalidate references to existing elements.
+      iovec iov[kMaxWritevBatch];
+      std::size_t nIov = 0;
+      {
+        std::lock_guard lock(qmu_);
+        if (queue_.empty()) {
+          SetWantWrite(false);
+          return;
+        }
+        const std::size_t limit = std::min(queue_.size(), kMaxWritevBatch);
+        for (std::size_t i = 0; i < limit; ++i) {
+          const std::string& f = queue_[i];
+          const std::size_t off = i == 0 ? frontOffset_ : 0;
+          iov[nIov].iov_base = const_cast<char*>(f.data()) + off;
+          iov[nIov].iov_len = f.size() - off;
+          ++nIov;
+        }
+      }
+      // Faults are checked after the batch is taken, so a frame enqueued
+      // after a setter returned always sees that fault. Frames caught by
+      // a fault injected after their enqueue are lost in flight, silently
+      // (Send-time signalling already happened). If half a frame already
+      // hit the wire, drop the socket too so the peer's framing never
+      // desynchronizes; the next send transparently reconnects.
       if (!fabric_->Reachable(from_, to_) || fabric_->DropInjected(from_, to_) ||
           fabric_->EitherWedged(from_, to_)) {
         std::size_t n = 0;
@@ -434,10 +518,7 @@ class TcpFabric::OutConn final : public EventHandler,
           for (auto& f : queue_) fabric_->pool_.Release(std::move(f));
           queue_.clear();
         }
-        if (n > 0) {
-          fabric_->counters_.messagesDropped.fetch_add(n, std::memory_order_relaxed);
-          fabric_->BumpPeer(to_, &Counters::messagesDropped, n);
-        }
+        Bump(peer_.messagesDropped, n);
         if (frontOffset_ > 0) {
           CloseFd();
           staleClosed_ = true;
@@ -457,37 +538,12 @@ class TcpFabric::OutConn final : public EventHandler,
           nextEligible_ = now + delay;
         }
         if (now < nextEligible_) {
-          bool pending;
-          {
-            std::lock_guard lock(qmu_);
-            pending = !queue_.empty();
-          }
-          if (pending) ScheduleDelayPump(nextEligible_);
+          ScheduleDelayPump(nextEligible_);
           return;
         }
+        nIov = 1;
       } else {
         pacingActive_ = false;
-      }
-      // Build a writev batch from the queue front. The references stay
-      // valid while unlocked: only this thread pops, and deque push_back
-      // does not invalidate references to existing elements.
-      iovec iov[kMaxWritevBatch];
-      std::size_t nIov = 0;
-      {
-        std::lock_guard lock(qmu_);
-        if (queue_.empty()) {
-          SetWantWrite(false);
-          return;
-        }
-        const std::size_t limit =
-            delay > Duration::zero() ? 1 : std::min(queue_.size(), kMaxWritevBatch);
-        for (std::size_t i = 0; i < limit; ++i) {
-          const std::string& f = queue_[i];
-          const std::size_t off = i == 0 ? frontOffset_ : 0;
-          iov[nIov].iov_base = const_cast<char*>(f.data()) + off;
-          iov[nIov].iov_len = f.size() - off;
-          ++nIov;
-        }
       }
       msghdr mh{};
       mh.msg_iov = iov;
@@ -506,10 +562,9 @@ class TcpFabric::OutConn final : public EventHandler,
       // Progress: consume fully-written frames, keep a partial offset.
       deadlineArmed_ = false;
       lastActivity_ = now;
-      fabric_->counters_.bytesSent.fetch_add(static_cast<std::uint64_t>(n),
-                                             std::memory_order_relaxed);
       std::size_t consumed = static_cast<std::size_t>(n);
       std::uint64_t completed = 0;
+      bool drained = false;
       {
         std::lock_guard lock(qmu_);
         while (consumed > 0 && !queue_.empty()) {
@@ -526,12 +581,20 @@ class TcpFabric::OutConn final : public EventHandler,
             consumed = 0;
           }
         }
+        drained = queue_.empty();
       }
-      fabric_->AddPeerSent(to_, completed, static_cast<std::uint64_t>(n));
+      Bump(peer_.bytesSent, static_cast<std::uint64_t>(n));
       if (completed > 0) {
         frameDoneSinceConnect_ = true;
-        fabric_->counters_.framesSent.fetch_add(completed, std::memory_order_relaxed);
+        Bump(peer_.framesSent, completed);
         if (delay > Duration::zero()) nextEligible_ = now + delay;
+      }
+      if (drained) {
+        // Queue empty: stop writing. A frame enqueued during this drain is
+        // not stranded: OnKick clears kicked_ before it drains, so that
+        // Enqueue posted a kick of its own.
+        SetWantWrite(false);
+        return;
       }
     }
   }
@@ -584,8 +647,7 @@ class TcpFabric::OutConn final : public EventHandler,
       // send re-establishes transparently.
       CloseFd();
       staleClosed_ = false;
-      fabric_->counters_.idleReaps.fetch_add(1, std::memory_order_relaxed);
-      fabric_->BumpPeer(to_, &Counters::idleReaps);
+      Bump(peer_.idleReaps);
       return;
     }
     TimePoint next = lastActivity_ + fabric_->options_.idleTimeout;
@@ -624,10 +686,7 @@ class TcpFabric::OutConn final : public EventHandler,
       for (auto& f : queue_) fabric_->pool_.Release(std::move(f));
       queue_.clear();
     }
-    if (n > 0) {
-      fabric_->counters_.messagesDropped.fetch_add(n, std::memory_order_relaxed);
-      fabric_->BumpPeer(to_, &Counters::messagesDropped, n);
-    }
+    Bump(peer_.messagesDropped, n);
     fabric_->NotifyPeerDown(from_, to_);
   }
 
@@ -667,6 +726,7 @@ class TcpFabric::OutConn final : public EventHandler,
   const NodeAddr from_;
   const NodeAddr to_;
   Reactor::Loop* loop_;
+  PeerCounters& peer_;  // counters of to_
 
   // Shared with sender threads.
   std::mutex qmu_;
@@ -870,6 +930,12 @@ void TcpFabric::RemoveInbound(Endpoint* ep, InConn* conn) {
 
 // ---- fault injection ----
 
+void TcpFabric::UpdateAnyFault() {
+  anyFault_.store(!down_.empty() || !wedged_.empty() || !cutLinks_.empty() ||
+                      !drops_.empty() || !delays_.empty(),
+                  std::memory_order_release);
+}
+
 void TcpFabric::SetDown(NodeAddr addr, bool down) {
   std::lock_guard lock(faultMu_);
   if (down) {
@@ -877,6 +943,7 @@ void TcpFabric::SetDown(NodeAddr addr, bool down) {
   } else {
     down_.erase(addr);
   }
+  UpdateAnyFault();
 }
 
 void TcpFabric::SetLinkCut(NodeAddr a, NodeAddr b, bool cut) {
@@ -886,6 +953,7 @@ void TcpFabric::SetLinkCut(NodeAddr a, NodeAddr b, bool cut) {
   } else {
     cutLinks_.erase(LinkKey(a, b));
   }
+  UpdateAnyFault();
 }
 
 void TcpFabric::SetDrop(NodeAddr from, NodeAddr to, bool drop) {
@@ -895,6 +963,7 @@ void TcpFabric::SetDrop(NodeAddr from, NodeAddr to, bool drop) {
   } else {
     drops_.erase(PairKey(from, to));
   }
+  UpdateAnyFault();
 }
 
 void TcpFabric::SetDelay(NodeAddr from, NodeAddr to, Duration delay) {
@@ -904,6 +973,7 @@ void TcpFabric::SetDelay(NodeAddr from, NodeAddr to, Duration delay) {
   } else {
     delays_.erase(PairKey(from, to));
   }
+  UpdateAnyFault();
 }
 
 void TcpFabric::SetWedged(NodeAddr addr, bool wedged) {
@@ -913,31 +983,34 @@ void TcpFabric::SetWedged(NodeAddr addr, bool wedged) {
   } else {
     wedged_.erase(addr);
   }
+  UpdateAnyFault();
 }
 
+// Each check answers "no fault" from the flag alone when nothing is
+// injected; otherwise it consults the maps under faultMu_.
+
 bool TcpFabric::Reachable(NodeAddr from, NodeAddr to) const {
+  if (!anyFault_.load(std::memory_order_acquire)) return true;
   std::lock_guard lock(faultMu_);
   if (down_.count(from) != 0 || down_.count(to) != 0) return false;
   return cutLinks_.count(LinkKey(from, to)) == 0;
 }
 
 bool TcpFabric::DropInjected(NodeAddr from, NodeAddr to) const {
+  if (!anyFault_.load(std::memory_order_acquire)) return false;
   std::lock_guard lock(faultMu_);
   return drops_.count(PairKey(from, to)) != 0;
 }
 
 Duration TcpFabric::DelayInjected(NodeAddr from, NodeAddr to) const {
+  if (!anyFault_.load(std::memory_order_acquire)) return Duration::zero();
   std::lock_guard lock(faultMu_);
   const auto it = delays_.find(PairKey(from, to));
   return it == delays_.end() ? Duration::zero() : it->second;
 }
 
-bool TcpFabric::WedgeInjected(NodeAddr addr) const {
-  std::lock_guard lock(faultMu_);
-  return wedged_.count(addr) != 0;
-}
-
 bool TcpFabric::EitherWedged(NodeAddr a, NodeAddr b) const {
+  if (!anyFault_.load(std::memory_order_acquire)) return false;
   std::lock_guard lock(faultMu_);
   return wedged_.count(a) != 0 || wedged_.count(b) != 0;
 }
@@ -957,21 +1030,24 @@ std::shared_ptr<TcpFabric::OutConn> TcpFabric::GetConnection(NodeAddr from,
 }
 
 void TcpFabric::Send(NodeAddr from, NodeAddr to, proto::Message message) {
-  counters_.messagesSent.fetch_add(1, std::memory_order_relaxed);
-  BumpPeer(to, &Counters::messagesSent);
+  // Counts a message that never reaches a connection queue. Only fault
+  // and shutdown paths get here, so the locked slot lookup stays cold.
+  const auto dropAtSend = [this, to] {
+    PeerCounters& peer = PeerSlot(to);
+    Bump(peer.messagesSent);
+    Bump(peer.messagesDropped);
+  };
   if (EitherWedged(from, to)) {
     // A wedged end silently loses traffic in both directions; crucially
     // NO OnPeerDown — the connection still looks "up", so only a missing
     // heartbeat can expose the failure.
-    counters_.messagesDropped.fetch_add(1, std::memory_order_relaxed);
-    BumpPeer(to, &Counters::messagesDropped);
+    dropAtSend();
     return;
   }
   if (!Reachable(from, to)) {
     // Mirror SimFabric: a downed/cut destination drops the message and the
     // sender learns its peer is gone (unless the sender itself is down).
-    counters_.messagesDropped.fetch_add(1, std::memory_order_relaxed);
-    BumpPeer(to, &Counters::messagesDropped);
+    dropAtSend();
     bool senderDown;
     {
       std::lock_guard lock(faultMu_);
@@ -982,8 +1058,7 @@ void TcpFabric::Send(NodeAddr from, NodeAddr to, proto::Message message) {
   }
   if (DropInjected(from, to)) {
     // Lossy link: the frame vanishes silently.
-    counters_.messagesDropped.fetch_add(1, std::memory_order_relaxed);
-    BumpPeer(to, &Counters::messagesDropped);
+    dropAtSend();
     return;
   }
 
@@ -998,15 +1073,14 @@ void TcpFabric::Send(NodeAddr from, NodeAddr to, proto::Message message) {
 
   auto conn = GetConnection(from, to);
   if (conn == nullptr) {  // fabric shutting down
-    counters_.messagesDropped.fetch_add(1, std::memory_order_relaxed);
-    BumpPeer(to, &Counters::messagesDropped);
+    dropAtSend();
     return;
   }
+  PeerCounters& peer = conn->peer();
+  Bump(peer.messagesSent);
   if (!conn->Enqueue(std::move(frame))) {
-    counters_.messagesDropped.fetch_add(1, std::memory_order_relaxed);
-    counters_.queueOverflows.fetch_add(1, std::memory_order_relaxed);
-    BumpPeer(to, &Counters::messagesDropped);
-    BumpPeer(to, &Counters::queueOverflows);
+    Bump(peer.messagesDropped);
+    Bump(peer.queueOverflows);
     NotifyPeerDown(from, to);
   }
 }
@@ -1030,47 +1104,26 @@ void TcpFabric::NotifyPeerDown(NodeAddr from, NodeAddr to) {
 
 // ---- counters ----
 
-void TcpFabric::AddPeerSent(NodeAddr peer, std::uint64_t frames,
-                            std::uint64_t bytes) {
+TcpFabric::PeerCounters& TcpFabric::PeerSlot(NodeAddr peer) {
   std::lock_guard lock(perPeerMu_);
-  Counters& c = perPeer_[peer];
-  c.framesSent += frames;
-  c.bytesSent += bytes;
-}
-
-void TcpFabric::AddPeerReceived(NodeAddr peer, std::uint64_t frames,
-                                std::uint64_t bytes) {
-  std::lock_guard lock(perPeerMu_);
-  Counters& c = perPeer_[peer];
-  c.framesReceived += frames;
-  c.bytesReceived += bytes;
-}
-
-void TcpFabric::BumpPeer(NodeAddr peer, std::uint64_t Counters::*field,
-                         std::uint64_t delta) {
-  std::lock_guard lock(perPeerMu_);
-  perPeer_[peer].*field += delta;
+  auto& slot = perPeer_[peer];
+  if (slot == nullptr) slot = std::make_unique<PeerCounters>();
+  return *slot;
 }
 
 net::Fabric::Counters TcpFabric::GetCounters() const {
   Counters out;
-  out.messagesSent = counters_.messagesSent.load(std::memory_order_relaxed);
-  out.messagesDelivered = counters_.messagesDelivered.load(std::memory_order_relaxed);
-  out.messagesDropped = counters_.messagesDropped.load(std::memory_order_relaxed);
-  out.framesSent = counters_.framesSent.load(std::memory_order_relaxed);
-  out.framesReceived = counters_.framesReceived.load(std::memory_order_relaxed);
-  out.bytesSent = counters_.bytesSent.load(std::memory_order_relaxed);
-  out.bytesReceived = counters_.bytesReceived.load(std::memory_order_relaxed);
-  out.reconnects = counters_.reconnects.load(std::memory_order_relaxed);
-  out.idleReaps = counters_.idleReaps.load(std::memory_order_relaxed);
-  out.queueOverflows = counters_.queueOverflows.load(std::memory_order_relaxed);
+  std::lock_guard lock(perPeerMu_);
+  for (const auto& [_, slot] : perPeer_) slot->AddTo(out);
   return out;
 }
 
 net::Fabric::Counters TcpFabric::PerPeerCounters(NodeAddr peer) const {
+  Counters out;
   std::lock_guard lock(perPeerMu_);
   const auto it = perPeer_.find(peer);
-  return it == perPeer_.end() ? Counters{} : it->second;
+  if (it != perPeer_.end()) it->second->AddTo(out);
+  return out;
 }
 
 }  // namespace scalla::net

@@ -27,11 +27,22 @@
 // Fault injection implements the full net::FaultInjector surface
 // (SetDown / SetLinkCut / SetDrop / SetDelay / SetWedged), so chaos
 // scenarios written against Fabric* run unchanged over real sockets.
+// Every setter recomputes one atomic "any fault injected" flag under the
+// fault lock, so while nothing is injected each fault check on the frame
+// path costs one atomic load and takes no lock. A frame sent after a
+// setter returns always obeys the new fault state.
 //
-// Incoming messages are posted to the endpoint's executor, so node code
-// keeps its single-threaded actor discipline; endpoints registered
-// without an executor get their sink called inline on a loop thread and
-// must not block.
+// Threading: every frame parsed from one recv() slice (at most 64 KiB) is
+// handed to the endpoint's executor as a single task that calls OnMessage
+// in arrival order, so node code keeps its single-threaded actor
+// discipline and per-connection FIFO holds without one executor post per
+// frame. Endpoints registered without an executor get their sink called
+// inline on a loop thread, frame by frame, and must not block.
+//
+// Counters: each remote peer owns one slot of atomic counters, created
+// once and never freed; connections cache a pointer to their peer's slot,
+// so the frame path updates counters without a lock. The per-peer slots
+// are the only counters: GetCounters() is their field-wise sum.
 #pragma once
 
 #include <atomic>
@@ -102,15 +113,15 @@ class TcpFabric final : public Fabric {
   bool Reachable(NodeAddr from, NodeAddr to) const;
   bool DropInjected(NodeAddr from, NodeAddr to) const;
   Duration DelayInjected(NodeAddr from, NodeAddr to) const;
-  bool WedgeInjected(NodeAddr addr) const;
   bool EitherWedged(NodeAddr a, NodeAddr b) const;
+  // Caller holds faultMu_.
+  void UpdateAnyFault();
 
-  // Per-peer counter accumulation (framesSent/bytesSent keyed by the
-  // remote peer of the connection, receive counters keyed by the sender).
-  void AddPeerSent(NodeAddr peer, std::uint64_t frames, std::uint64_t bytes);
-  void AddPeerReceived(NodeAddr peer, std::uint64_t frames, std::uint64_t bytes);
-  void BumpPeer(NodeAddr peer, std::uint64_t Counters::*field,
-                std::uint64_t delta = 1);
+  // Per-peer counter slot: framesSent/bytesSent keyed by the remote peer
+  // of the connection, receive counters keyed by the sender. Created on
+  // first use; the reference stays valid for the fabric's lifetime.
+  struct PeerCounters;
+  PeerCounters& PeerSlot(NodeAddr peer);
 
   std::uint16_t basePort_;
   FabricOptions options_;
@@ -130,27 +141,11 @@ class TcpFabric final : public Fabric {
   std::map<std::uint64_t, bool> cutLinks_;    // key: min<<32|max
   std::map<std::uint64_t, bool> drops_;       // key: from<<32|to
   std::map<std::uint64_t, Duration> delays_;  // key: from<<32|to
+  // True while any fault map above is non-empty; written under faultMu_.
+  std::atomic<bool> anyFault_{false};
 
-  // Atomic counters: neither the send nor the receive path takes a
-  // fabric-wide lock for the global totals.
-  struct AtomicCounters {
-    std::atomic<std::uint64_t> messagesSent{0};
-    std::atomic<std::uint64_t> messagesDelivered{0};
-    std::atomic<std::uint64_t> messagesDropped{0};
-    std::atomic<std::uint64_t> framesSent{0};
-    std::atomic<std::uint64_t> framesReceived{0};
-    std::atomic<std::uint64_t> bytesSent{0};
-    std::atomic<std::uint64_t> bytesReceived{0};
-    std::atomic<std::uint64_t> reconnects{0};
-    std::atomic<std::uint64_t> idleReaps{0};
-    std::atomic<std::uint64_t> queueOverflows{0};
-  };
-  mutable AtomicCounters counters_;
-
-  // Per-peer attribution, updated per frame batch (not per byte), so the
-  // lock is cold relative to the socket syscalls around it.
-  mutable std::mutex perPeerMu_;
-  std::map<NodeAddr, Counters> perPeer_;
+  mutable std::mutex perPeerMu_;  // guards the map, not the slots
+  std::map<NodeAddr, std::unique_ptr<PeerCounters>> perPeer_;
 
   std::atomic<std::size_t> activeOutbound_{0};
   std::atomic<bool> shuttingDown_{false};

@@ -4,11 +4,13 @@
 // ends of the loopback — over FabricOptions::loopThreads event loops.
 // Every pair delivers two waves of messages (the second after the whole
 // mesh is established, exercising connection reuse at scale) and the
-// per-peer counters must still add up.
+// per-peer counters must still add up: each receiver's own count, and the
+// global totals as the field-wise sum over every address in the mesh.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -48,6 +50,14 @@ struct CountingSink : net::MessageSink {
     return cv.wait_for(lock, timeout, [&] { return messages >= n; });
   }
 };
+
+// All ten counter fields, in declaration order, for whole-struct compares.
+std::array<std::uint64_t, 10> Fields(const net::Fabric::Counters& c) {
+  return {c.messagesSent,  c.messagesDelivered, c.messagesDropped,
+          c.framesSent,    c.framesReceived,    c.bytesSent,
+          c.bytesReceived, c.reconnects,        c.idleReaps,
+          c.queueOverflows};
+}
 
 TEST(FabricSoakTest, TenThousandSocketMesh) {
   rlimit limit{};
@@ -105,6 +115,15 @@ TEST(FabricSoakTest, TenThousandSocketMesh) {
     const auto per = fabric.PerPeerCounters(static_cast<net::NodeAddr>(201 + r));
     EXPECT_EQ(per.framesSent, static_cast<std::uint64_t>(2 * kSenders)) << r;
   }
+  // The global totals are the field-wise sum over every address.
+  std::array<std::uint64_t, 10> sum{};
+  auto add = [&](int addr) {
+    const auto peer = Fields(fabric.PerPeerCounters(static_cast<net::NodeAddr>(addr)));
+    for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += peer[i];
+  };
+  for (int s = 0; s < kSenders; ++s) add(1 + s);
+  for (int r = 0; r < kReceivers; ++r) add(201 + r);
+  EXPECT_EQ(Fields(fabric.GetCounters()), sum);
 }
 
 }  // namespace
