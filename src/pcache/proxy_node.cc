@@ -602,6 +602,8 @@ obs::MetricsSnapshot ProxyCacheNode::SnapshotMetrics() const {
   snap.AddCounter("pcache.ghost_hits", tiered.ghostHits);
   snap.AddGauge("pcache.files_tracked",
                 static_cast<std::int64_t>(tiered.filesTracked));
+  snap.AddGauge("pcache.pinned_blocks",
+                static_cast<std::int64_t>(tiered.pinnedBlocks));
   // The embedded client's instruments show the proxy's cluster-facing
   // behaviour (redirects followed, recoveries, open latency).
   snap.Merge(origin_.SnapshotMetrics());

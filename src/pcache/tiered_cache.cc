@@ -1,21 +1,22 @@
 #include "pcache/tiered_cache.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <list>
-#include <map>
+#include <limits>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 namespace scalla::pcache {
 
 namespace {
 
-/// Name of one block in the disk-tier oss namespace. The index entry is
+/// Name of one block in the disk-tier oss namespace. The record is
 /// authoritative for the block's size: a rewrite that shrinks a block
 /// leaves stale tail bytes in the backing file, and bounding reads by the
-/// indexed size keeps them invisible.
+/// recorded size keeps them invisible.
 std::string DiskBlockPath(const std::string& path, std::uint64_t index) {
   return path + "#b" + std::to_string(index);
 }
@@ -23,6 +24,23 @@ std::string DiskBlockPath(const std::string& path, std::uint64_t index) {
 bool BadWatermarks(double low, double high) {
   return low <= 0 || low > high || high > 1.0;
 }
+
+/// Shards of the block table. Records are sharded by path, so a file's
+/// records, ghosts and lifecycle entry share one shard and one lock.
+constexpr std::size_t kShards = 8;
+constexpr std::uint32_t kNil = std::numeric_limits<std::uint32_t>::max();
+
+/// Where a record's block is. kDram, kDisk and kGhost also index the
+/// per-shard recency lists and the per-tier gauges. A kGhost record holds
+/// no bytes in either tier. A kSpilling record was evicted from DRAM and
+/// keeps its bytes until its disk write (a tier op) lands.
+enum Tier : std::uint8_t { kDram = 0, kDisk = 1, kGhost = 2, kSpilling = 3 };
+
+enum Counter : std::uint8_t {
+  kDramHits, kDiskHits, kMisses, kInserts, kDramInserts, kDramEvictions,
+  kDiskEvictions, kDiskWriteFailures, kAdmitsDram, kAdmitsDisk, kSpills,
+  kDroppedSpills, kPromotions, kGhostHits, kCounters
+};
 
 }  // namespace
 
@@ -60,345 +78,356 @@ Result<void> ValidateTieredConfig(const TieredCacheConfig& config) {
 /// destroyed locks nothing and drops itself (no blocking destructor — a
 /// sim executor may never run the task at all).
 struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::Impl> {
-  struct DiskEntry {
-    std::uint64_t size = 0;
-    std::uint64_t stamp = 0;  // shares the DRAM tier's recency domain
-    int pins = 0;
-    std::list<BlockKey>::iterator lruIt;
-  };
-  struct FileState {
+  struct FileEntry {
     FileLifecycle life;
-    std::uint64_t epoch = 0;  // bumped by Purge(path); stale tasks drop
+    std::unordered_map<std::uint64_t, std::uint32_t> blocks;  // index -> slot
   };
-  /// Purge generation captured when a spill/promote is scheduled; the task
-  /// re-checks it so a purge between capture and execution wins.
-  struct EpochStamp {
-    std::uint64_t global = 0;
-    std::uint64_t path = 0;
+  using FileMap = std::unordered_map<std::string, FileEntry>;
+
+  /// The owner record of one (path, index). Links and stamps come in two
+  /// sets: [0] threads the DRAM or disk LRU (and the free list), [1] the
+  /// ghost FIFO. Ghost membership is a flag beside the tier, not a tier of
+  /// its own, because admission remembers a first-touch block while it is
+  /// also on disk.
+  struct Record {
+    std::string data;  // the bytes, while kDram or kSpilling
+    FileMap::value_type* file = nullptr;  // map nodes never move
+    std::uint64_t index = 0;
+    std::uint64_t size = 0;
+    std::uint64_t stamp[2] = {0, 0};  // list order; unique, larger = fresher
+    std::uint64_t moved = 0;  // stamp of the last tier move; tier ops check it
+    std::uint32_t prev[2] = {kNil, kNil};
+    std::uint32_t next[2] = {kNil, kNil};
+    int pins = 0;
+    Tier where = kGhost;
+    bool ghosted = false;
+  };
+
+  struct Shard {
+    std::mutex mu;
+    FileMap files;
+    std::vector<Record> arena;
+    std::uint32_t freeHead = kNil;
+    std::uint32_t head[3] = {kNil, kNil, kNil};  // oldest, per Tier list
+    std::uint32_t tail[3] = {kNil, kNil, kNil};
+
+    void PushBack(Tier list, std::uint32_t i, std::uint64_t stamp) {
+      const int k = list == kGhost;
+      Record& r = arena[i];
+      r.stamp[k] = stamp;
+      r.prev[k] = tail[list];
+      r.next[k] = kNil;
+      (tail[list] == kNil ? head[list] : arena[tail[list]].next[k]) = i;
+      tail[list] = i;
+    }
+
+    void Unlink(Tier list, std::uint32_t i) {
+      const int k = list == kGhost;
+      const Record& r = arena[i];
+      (r.prev[k] == kNil ? head[list] : arena[r.prev[k]].next[k]) = r.next[k];
+      (r.next[k] == kNil ? tail[list] : arena[r.next[k]].prev[k]) = r.prev[k];
+    }
+
+    std::uint32_t Find(const std::string& path, std::uint64_t index) const {
+      const auto f = files.find(path);
+      if (f == files.end()) return kNil;
+      const auto b = f->second.blocks.find(index);
+      return b == f->second.blocks.end() ? kNil : b->second;
+    }
   };
 
   Impl(const TieredCacheConfig& cfg, oss::Oss* diskOss, sched::Executor* ex,
        util::Clock& clk)
-      : config(cfg), disk(diskOss), executor(ex), clock(&clk), dram(cfg.dram) {
+      : config(cfg), disk(diskOss), executor(ex), clock(&clk) {
     asyncMode = config.asyncTierOps && executor != nullptr && DiskEnabled();
+    const auto mark = [](double fraction, std::uint64_t capacity) {
+      return static_cast<std::uint64_t>(fraction * static_cast<double>(capacity));
+    };
+    high[kDram] = mark(cfg.dram.highWatermark, cfg.dram.capacityBytes);
+    low[kDram] = mark(cfg.dram.lowWatermark, cfg.dram.capacityBytes);
+    high[kDisk] = mark(cfg.diskHighWatermark, cfg.diskCapacityBytes);
+    low[kDisk] = mark(cfg.diskLowWatermark, cfg.diskCapacityBytes);
     const std::size_t dramSlots = static_cast<std::size_t>(
-        config.dram.capacityBytes / std::max<std::uint32_t>(config.dram.blockSize, 1) + 1);
-    ghostCapacity = config.ghostEntries != 0 ? config.ghostEntries : 4 * dramSlots;
+        cfg.dram.capacityBytes / std::max<std::uint32_t>(cfg.dram.blockSize, 1) + 1);
+    high[kGhost] = low[kGhost] = cfg.ghostEntries != 0 ? cfg.ghostEntries : 4 * dramSlots;
   }
 
   bool DiskEnabled() const { return config.diskCapacityBytes > 0 && disk != nullptr; }
+  Shard& ShardOf(const std::string& path) {
+    return shards[std::hash<std::string>{}(path) % kShards];
+  }
+  void Count(Counter c) { counters[c].fetch_add(1, std::memory_order_relaxed); }
+  std::uint64_t Get(Counter c) const { return counters[c].load(std::memory_order_relaxed); }
+  std::uint64_t NextStamp() { return nextStamp.fetch_add(1, std::memory_order_relaxed); }
+  bool Over(Tier t) const { return used[t].load(std::memory_order_relaxed) > high[t]; }
 
-  // ---- tier-op scheduling ------------------------------------------
+  // ---- records (every helper below requires the shard lock) ---------
 
+  /// The slot of (path, index), creating a bare record (and the file's
+  /// lifecycle entry) if absent. Only inserts create records.
+  std::uint32_t RecordFor(Shard& s, const std::string& path, std::uint64_t index) {
+    const auto [f, newFile] = s.files.try_emplace(path);
+    const TimePoint now = clock->Now();
+    if (newFile) {
+      files.fetch_add(1, std::memory_order_relaxed);
+      f->second.life.firstAccess = now;
+    }
+    f->second.life.lastAccess = now;
+    const auto [b, newBlock] = f->second.blocks.try_emplace(index, s.freeHead);
+    if (!newBlock) return b->second;
+    if (b->second == kNil) {
+      b->second = static_cast<std::uint32_t>(s.arena.size());
+      s.arena.emplace_back();
+    } else {
+      s.freeHead = s.arena[b->second].next[0];
+    }
+    Record& r = s.arena[b->second];
+    r.next[0] = kNil;
+    r.file = &*f;
+    r.index = index;
+    return b->second;
+  }
+
+  /// Frees a record that no tier, ghost FIFO or queued spill holds, and
+  /// the file's lifecycle entry with its last record.
+  void ReleaseIfIdle(Shard& s, std::uint32_t i) {
+    Record& r = s.arena[i];
+    if (r.where != kGhost || r.ghosted) return;
+    FileMap::value_type* file = r.file;
+    file->second.blocks.erase(r.index);
+    r = Record{};
+    r.next[0] = s.freeHead;
+    s.freeHead = i;
+    if (file->second.blocks.empty()) {
+      s.files.erase(s.files.find(file->first));
+      files.fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
+
+  /// Moves record i to tier `to`, keeping the tier gauges, the recency
+  /// lists and the file's per-tier block counts in step. Every move
+  /// restamps the record; leaving DRAM (other than to spill) frees its bytes.
+  void Place(Shard& s, std::uint32_t i, Tier to) {
+    Record& r = s.arena[i];
+    FileLifecycle& life = r.file->second.life;
+    if (r.where == kDram || r.where == kDisk) {
+      s.Unlink(r.where, i);
+      used[r.where].fetch_sub(r.size, std::memory_order_relaxed);
+      blocks[r.where].fetch_sub(1, std::memory_order_relaxed);
+      --(r.where == kDram ? life.dramBlocks : life.diskBlocks);
+    }
+    r.where = to;
+    r.moved = NextStamp();
+    if (to == kDram || to == kDisk) {
+      s.PushBack(to, i, r.moved);
+      used[to].fetch_add(r.size, std::memory_order_relaxed);
+      blocks[to].fetch_add(1, std::memory_order_relaxed);
+      ++(to == kDram ? life.dramBlocks : life.diskBlocks);
+    }
+    if (to != kDram && to != kSpilling) std::string().swap(r.data);
+  }
+
+  /// Takes record i out of its tier, unlinking its backing file if on disk.
+  void Drop(Shard& s, std::uint32_t i) {
+    const Record& r = s.arena[i];
+    if (r.where == kDisk) (void)disk->Unlink(DiskBlockPath(r.file->first, r.index));
+    Place(s, i, kGhost);
+  }
+
+  void Touch(Shard& s, std::uint32_t i) {
+    const Tier t = s.arena[i].where;
+    s.Unlink(t, i);
+    s.PushBack(t, i, NextStamp());
+  }
+
+  void SetGhost(Shard& s, std::uint32_t i, bool on) {
+    Record& r = s.arena[i];
+    if (r.ghosted == on) return;
+    r.ghosted = on;
+    if (on) {
+      s.PushBack(kGhost, i, NextStamp());
+      used[kGhost].fetch_add(1, std::memory_order_relaxed);
+    } else {
+      s.Unlink(kGhost, i);
+      used[kGhost].fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
+
+  void AddPins(Record& r, int delta) {
+    const bool was = r.pins > 0;
+    r.pins += delta;
+    if (was && r.pins == 0) pinned.fetch_sub(1, std::memory_order_relaxed);
+    if (!was && r.pins > 0) pinned.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Makes `data` record i's DRAM copy, replacing any copy in either tier.
+  void PutDram(Shard& s, std::uint32_t i, std::string data, bool pin) {
+    Drop(s, i);
+    Record& r = s.arena[i];
+    r.data = std::move(data);
+    r.size = r.data.size();
+    if (pin) AddPins(r, 1);
+    Place(s, i, kDram);
+    Count(kDramInserts);
+  }
+
+  bool DiskWrite(const std::string& dpath, const std::string& data) {
+    const bool ok = (disk->StateOf(dpath) != oss::FileState::kAbsent ||
+                     disk->Create(dpath).ok()) &&
+                    disk->Write(dpath, 0, data).ok();
+    if (!ok) Count(kDiskWriteFailures);
+    return ok;
+  }
+
+  /// Drops every unpinned record of one file from its tier, and every
+  /// record from the ghost FIFO. A spilling record goes too, so its queued
+  /// write finds nothing. Returns the resident blocks dropped.
+  std::uint64_t PurgeFile(Shard& s, FileMap::iterator f) {
+    std::vector<std::uint32_t> slots;
+    for (const auto& [index, slot] : f->second.blocks) slots.push_back(slot);
+    std::uint64_t dropped = 0;
+    for (const std::uint32_t i : slots) {
+      SetGhost(s, i, false);
+      if (s.arena[i].pins > 0) continue;
+      if (s.arena[i].where == kDram || s.arena[i].where == kDisk) ++dropped;
+      Drop(s, i);
+      ReleaseIfIdle(s, i);
+    }
+    return dropped;
+  }
+
+  // ---- tier ops -----------------------------------------------------
+
+  /// Runs a tier op now (inline mode) or on a later executor turn, then
+  /// sweeps whatever tier it filled. Never called under sweepMu inline.
   void RunTierOp(std::function<void(Impl&)> op) {
     if (!asyncMode) {
       op(*this);
+      Sweep();
       return;
     }
     pendingOps.fetch_add(1, std::memory_order_acq_rel);
-    std::weak_ptr<Impl> weak = weak_from_this();
-    executor->Post([weak, op = std::move(op)] {
-      auto impl = weak.lock();
+    executor->Post([weak = weak_from_this(), op = std::move(op)] {
+      const auto impl = weak.lock();
       if (!impl) return;
       op(*impl);
+      impl->Sweep();
       impl->pendingOps.fetch_sub(1, std::memory_order_acq_rel);
     });
   }
 
-  EpochStamp SnapshotEpochs(const std::string& path) const {
-    EpochStamp e;
-    e.global = globalEpoch.load(std::memory_order_acquire);
-    std::lock_guard lock(lifeMu);
-    const auto it = files.find(path);
-    e.path = it == files.end() ? 0 : it->second.epoch;
-    return e;
-  }
-
-  bool EpochsValid(const std::string& path, const EpochStamp& e) const {
-    if (globalEpoch.load(std::memory_order_acquire) != e.global) return false;
-    std::lock_guard lock(lifeMu);
-    const auto it = files.find(path);
-    return (it == files.end() ? 0 : it->second.epoch) == e.path;
-  }
-
-  // ---- lifecycle ----------------------------------------------------
-
-  void LifeOnAccess(const std::string& path, bool reuse) {
-    const TimePoint now = clock->Now();
-    std::lock_guard lock(lifeMu);
-    FileState& st = files[path];
-    if (st.life.lookups == 0 && st.life.firstAccess == TimePoint{}) {
-      st.life.firstAccess = now;
-    }
-    st.life.lastAccess = now;
-    ++st.life.lookups;
-    if (reuse) ++st.life.reuses;
-  }
-
-  void LifeOnInsert(const std::string& path) {
-    const TimePoint now = clock->Now();
-    std::lock_guard lock(lifeMu);
-    FileState& st = files[path];
-    if (st.life.firstAccess == TimePoint{} && st.life.lookups == 0) {
-      st.life.firstAccess = now;
-    }
-    st.life.lastAccess = now;
-  }
-
-  // ---- ghost list (admission filter) --------------------------------
-  // Keys are DiskBlockPath() strings. Lock order: ghostMu is a leaf —
-  // taken alone, or inside diskMu (disk eviction re-arming a key).
-
-  bool GhostConsume(const std::string& key) {
-    std::lock_guard lock(ghostMu);
-    const auto it = ghostMap.find(key);
-    if (it == ghostMap.end()) return false;
-    ghostFifo.erase(it->second);
-    ghostMap.erase(it);
-    return true;
-  }
-
-  void GhostRecord(const std::string& key) {
-    std::lock_guard lock(ghostMu);
-    if (ghostMap.count(key) != 0) return;
-    ghostFifo.push_back(key);
-    ghostMap.emplace(key, std::prev(ghostFifo.end()));
-    while (ghostMap.size() > ghostCapacity) {
-      ghostMap.erase(ghostFifo.front());
-      ghostFifo.pop_front();
-    }
-  }
-
-  void GhostDropPath(const std::string& path) {
-    const std::string prefix = path + "#b";
-    std::lock_guard lock(ghostMu);
-    for (auto it = ghostFifo.begin(); it != ghostFifo.end();) {
-      if (it->compare(0, prefix.size(), prefix) == 0) {
-        ghostMap.erase(*it);
-        it = ghostFifo.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  void GhostClear() {
-    std::lock_guard lock(ghostMu);
-    ghostFifo.clear();
-    ghostMap.clear();
-  }
-
-  // ---- disk tier ----------------------------------------------------
-  // The in-memory index (sizes, pins, LRU) is authoritative; the oss only
-  // holds bytes. All oss calls happen under diskMu, which serializes disk
-  // I/O — acceptable because the async worker keeps it off the read path.
-  // Lock order: dram's evictMu_ > diskMu > ghostMu; diskMu never wraps a
-  // DRAM shard lock.
-
-  /// Writes the block and indexes it. `pins` seeds the entry's pin count
-  /// (admission transfers pins when a block changes tier).
-  bool DiskInsert(const std::string& path, std::uint64_t index,
-                  const std::string& data, int pins) {
-    const std::string dpath = DiskBlockPath(path, index);
-    std::lock_guard lock(diskMu);
-    if (disk->StateOf(dpath) == oss::FileState::kAbsent) {
-      if (const auto created = disk->Create(dpath); !created.ok()) {
-        diskWriteFailures.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-    }
-    if (const auto written = disk->Write(dpath, 0, data); !written.ok()) {
-      diskWriteFailures.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    auto& perFile = diskFiles[path];
-    const auto it = perFile.find(index);
-    if (it != perFile.end()) {
-      diskUsedBytes += data.size();
-      diskUsedBytes -= it->second.size;
-      it->second.size = data.size();
-      it->second.pins += pins;
-      it->second.stamp = nextStamp.fetch_add(1, std::memory_order_relaxed);
-      diskLru.splice(diskLru.end(), diskLru, it->second.lruIt);
-    } else {
-      DiskEntry e;
-      e.size = data.size();
-      e.pins = pins;
-      e.stamp = nextStamp.fetch_add(1, std::memory_order_relaxed);
-      diskLru.push_back(BlockKey{path, index});
-      e.lruIt = std::prev(diskLru.end());
-      perFile.emplace(index, e);
-      diskUsedBytes += data.size();
-      ++diskBlocks;
-    }
-    EvictDiskLocked();
-    return true;
-  }
-
-  /// Removes a block from the disk tier. Returns the entry's pin count
-  /// (>= 0) so a tier change can carry pins along, or -1 if not resident.
-  int DiskErase(const std::string& path, std::uint64_t index) {
-    std::lock_guard lock(diskMu);
-    const auto fileIt = diskFiles.find(path);
-    if (fileIt == diskFiles.end()) return -1;
-    const auto it = fileIt->second.find(index);
-    if (it == fileIt->second.end()) return -1;
-    const int pins = it->second.pins;
-    diskUsedBytes -= it->second.size;
-    --diskBlocks;
-    diskLru.erase(it->second.lruIt);
-    fileIt->second.erase(it);
-    if (fileIt->second.empty()) diskFiles.erase(fileIt);
-    (void)disk->Unlink(DiskBlockPath(path, index));
-    return pins;
-  }
-
-  struct DiskHit {
-    std::string data;
-    bool promotable = false;  // pinned entries stay put (pins live on disk)
-  };
-
-  std::optional<DiskHit> DiskLookup(const std::string& path, std::uint64_t index) {
-    std::lock_guard lock(diskMu);
-    const auto fileIt = diskFiles.find(path);
-    if (fileIt == diskFiles.end()) return std::nullopt;
-    const auto it = fileIt->second.find(index);
-    if (it == fileIt->second.end()) return std::nullopt;
-    DiskEntry& e = it->second;
-    auto read = disk->Read(DiskBlockPath(path, index), 0,
-                           static_cast<std::uint32_t>(e.size));
-    if (!read.ok() || read.value().size() != e.size) {
-      // Torn or missing backing file: drop the index entry, report a miss
-      // (the origin re-fetch repairs it).
-      diskUsedBytes -= e.size;
-      --diskBlocks;
-      diskLru.erase(e.lruIt);
-      fileIt->second.erase(it);
-      if (fileIt->second.empty()) diskFiles.erase(fileIt);
-      return std::nullopt;
-    }
-    e.stamp = nextStamp.fetch_add(1, std::memory_order_relaxed);
-    diskLru.splice(diskLru.end(), diskLru, e.lruIt);
-    DiskHit hit;
-    hit.data = std::move(read).value();
-    hit.promotable = e.pins == 0;
-    return hit;
-  }
-
-  /// Requires diskMu. Burst-evicts oldest-first between the watermarks;
-  /// victims leave a ghost entry so a re-fetch proves reuse and earns DRAM.
-  void EvictDiskLocked() {
-    const auto high = static_cast<std::uint64_t>(
-        config.diskHighWatermark * static_cast<double>(config.diskCapacityBytes));
-    if (diskUsedBytes <= high) return;
-    const auto low = static_cast<std::uint64_t>(
-        config.diskLowWatermark * static_cast<double>(config.diskCapacityBytes));
-    auto it = diskLru.begin();
-    while (diskUsedBytes > low && it != diskLru.end()) {
-      const BlockKey key = *it;
-      const auto fileIt = diskFiles.find(key.path);
-      DiskEntry& e = fileIt->second.at(key.index);
-      if (e.pins > 0) {
-        ++it;
-        continue;
-      }
-      ++it;  // advance off the victim before erasing it
-      diskUsedBytes -= e.size;
-      --diskBlocks;
-      diskEvictions.fetch_add(1, std::memory_order_relaxed);
-      (void)disk->Unlink(DiskBlockPath(key.path, key.index));
-      diskLru.erase(e.lruIt);
-      fileIt->second.erase(key.index);
-      if (fileIt->second.empty()) diskFiles.erase(fileIt);
-      GhostRecord(DiskBlockPath(key.path, key.index));
-    }
-  }
-
-  std::uint64_t DiskPurge(const std::string& path) {
-    std::lock_guard lock(diskMu);
-    const auto fileIt = diskFiles.find(path);
-    if (fileIt == diskFiles.end()) return 0;
-    std::uint64_t dropped = 0;
-    for (auto it = fileIt->second.begin(); it != fileIt->second.end();) {
-      if (it->second.pins > 0) {
-        ++it;
-        continue;
-      }
-      diskUsedBytes -= it->second.size;
-      --diskBlocks;
-      diskLru.erase(it->second.lruIt);
-      (void)disk->Unlink(DiskBlockPath(path, it->first));
-      it = fileIt->second.erase(it);
-      ++dropped;
-    }
-    if (fileIt->second.empty()) diskFiles.erase(fileIt);
-    return dropped;
-  }
-
-  std::uint64_t DiskPurgeAll() {
-    std::lock_guard lock(diskMu);
-    std::uint64_t dropped = 0;
-    for (auto fileIt = diskFiles.begin(); fileIt != diskFiles.end();) {
-      for (auto it = fileIt->second.begin(); it != fileIt->second.end();) {
-        if (it->second.pins > 0) {
-          ++it;
-          continue;
-        }
-        diskUsedBytes -= it->second.size;
-        --diskBlocks;
-        diskLru.erase(it->second.lruIt);
-        (void)disk->Unlink(DiskBlockPath(fileIt->first, it->first));
-        it = fileIt->second.erase(it);
-        ++dropped;
-      }
-      if (fileIt->second.empty()) {
-        fileIt = diskFiles.erase(fileIt);
-      } else {
-        ++fileIt;
-      }
-    }
-    return dropped;
-  }
-
-  bool DiskContains(const std::string& path, std::uint64_t index) const {
-    std::lock_guard lock(diskMu);
-    const auto fileIt = diskFiles.find(path);
-    return fileIt != diskFiles.end() && fileIt->second.count(index) != 0;
-  }
-
-  // ---- tier movement ------------------------------------------------
-
-  /// DRAM watermark victim arriving at the disk tier (the demotion half of
-  /// the tier dance). Runs via RunTierOp.
-  void Spill(EvictedBlock block, const EpochStamp& epochs) {
-    if (!EpochsValid(block.key.path, epochs)) {
-      droppedSpills.fetch_add(1, std::memory_order_relaxed);
-      return;  // purged since eviction; do not resurrect
-    }
-    if (dram.Contains(block.key.path, block.key.index)) {
-      // Re-inserted into DRAM since eviction: the DRAM copy is newer, and
-      // a block lives in one tier only.
-      droppedSpills.fetch_add(1, std::memory_order_relaxed);
+  /// A DRAM victim reaching the disk tier. Applies only if the record is
+  /// still spilling from that eviction; a purge or re-insert since wins.
+  void Spill(const BlockKey& key, std::uint64_t moved) {
+    Shard& s = ShardOf(key.path);
+    std::lock_guard lock(s.mu);
+    const std::uint32_t i = s.Find(key.path, key.index);
+    if (i == kNil || s.arena[i].where != kSpilling || s.arena[i].moved != moved) {
+      Count(kDroppedSpills);
       return;
     }
-    if (DiskInsert(block.key.path, block.key.index, block.data, /*pins=*/0)) {
-      spills.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      droppedSpills.fetch_add(1, std::memory_order_relaxed);
+    if (DiskWrite(DiskBlockPath(key.path, key.index), s.arena[i].data)) {
+      Place(s, i, kDisk);
+      Count(kSpills);
+      return;
     }
+    Count(kDroppedSpills);
+    Place(s, i, kGhost);
+    ReleaseIfIdle(s, i);
   }
 
-  /// Disk hit earning its DRAM slot. Erase-first claims the block: if it
-  /// is already gone (purged, evicted, promoted by a racing lookup), the
-  /// promotion is stale and drops itself.
-  void Promote(const std::string& path, std::uint64_t index, std::string data,
-               const EpochStamp& epochs) {
-    if (!EpochsValid(path, epochs)) return;
-    const int pins = DiskErase(path, index);
-    if (pins < 0) return;
-    dram.Insert(path, index, std::move(data), /*pinned=*/pins > 0);
-    for (int i = 1; i < pins; ++i) dram.Pin(path, index);
-    promotions.fetch_add(1, std::memory_order_relaxed);
+  /// A disk hit earning its DRAM slot. Applies only if the record has not
+  /// moved since the lookup read `data` from disk; its pins stay with it.
+  void Promote(const BlockKey& key, std::uint64_t moved, std::string data) {
+    Shard& s = ShardOf(key.path);
+    std::lock_guard lock(s.mu);
+    const std::uint32_t i = s.Find(key.path, key.index);
+    if (i == kNil || s.arena[i].where != kDisk || s.arena[i].moved != moved) return;
+    (void)disk->Unlink(DiskBlockPath(key.path, key.index));
+    s.arena[i].data = std::move(data);
+    Place(s, i, kDram);
+    Count(kPromotions);
+    Count(kDramInserts);
+  }
+
+  // ---- watermark sweep ----------------------------------------------
+
+  void Sweep() {
+    if (!Over(kDram) && !Over(kDisk) && !Over(kGhost)) return;
+    std::lock_guard lock(sweepMu);
+    for (const Tier t : {kDram, kDisk, kGhost}) SweepLocked(t);
+  }
+
+  /// Requires sweepMu. Once tier `t` is over its high watermark, evicts its
+  /// globally oldest evictable records until it is back at the low one:
+  /// DRAM victims spill to disk (or go to the sink with the disk tier off),
+  /// disk victims become ghosts, ghosts are forgotten. Each shard's list is
+  /// in stamp order, so its first evictable record is its candidate, and
+  /// the sweep takes the smallest candidate stamp. A shard is re-peeked
+  /// only after the sweep takes from it (or finds its candidate touched),
+  /// so a burst of E evictions costs O(shards + E) lock rounds.
+  void SweepLocked(Tier t) {
+    if (!Over(t)) return;
+    const int k = t == kGhost;
+    std::array<std::pair<std::uint32_t, std::uint64_t>, kShards> cand;  // slot, stamp
+    const auto peek = [&](std::size_t n) {  // requires shards[n].mu
+      const Shard& s = shards[n];
+      std::uint32_t i = s.head[t];
+      while (i != kNil && k == 0 && s.arena[i].pins > 0) i = s.arena[i].next[0];
+      cand[n] = {i, i == kNil ? 0 : s.arena[i].stamp[k]};
+    };
+    for (std::size_t n = 0; n < kShards; ++n) {
+      std::lock_guard lock(shards[n].mu);
+      peek(n);
+    }
+    while (used[t].load(std::memory_order_relaxed) > low[t]) {
+      std::size_t v = kShards;
+      for (std::size_t n = 0; n < kShards; ++n) {
+        if (cand[n].first != kNil && (v == kShards || cand[n].second < cand[v].second)) v = n;
+      }
+      if (v == kShards) break;  // everything left is pinned
+      Shard& s = shards[v];
+      EvictedBlock victim;
+      std::uint64_t moved = 0;
+      bool taken = false;
+      {
+        std::lock_guard lock(s.mu);
+        const std::uint32_t i = cand[v].first;
+        Record& r = s.arena[i];
+        taken = (k == 1 ? r.ghosted : r.where == t && r.pins == 0) &&
+                r.stamp[k] == cand[v].second;
+        if (taken && t == kDram) {
+          Count(kDramEvictions);
+          victim.key = BlockKey{r.file->first, r.index};
+          if (DiskEnabled()) {
+            Place(s, i, kSpilling);
+            moved = r.moved;
+          } else {
+            victim.data = std::move(r.data);
+            Place(s, i, kGhost);
+            ReleaseIfIdle(s, i);
+          }
+        } else if (taken && t == kDisk) {
+          Count(kDiskEvictions);
+          Drop(s, i);
+          SetGhost(s, i, true);
+        } else if (taken) {
+          SetGhost(s, i, false);
+          ReleaseIfIdle(s, i);
+        }
+        peek(v);  // taken, or touched/moved/pinned since the peek
+      }
+      if (!taken || t != kDram) continue;
+      if (!DiskEnabled()) {
+        if (evictionSink) evictionSink(std::move(victim));
+      } else if (asyncMode) {
+        RunTierOp([key = std::move(victim.key), moved](Impl& impl) { impl.Spill(key, moved); });
+      } else {
+        Spill(victim.key, moved);
+        SweepLocked(kDisk);
+      }
+    }
+    if (t == kDisk) SweepLocked(kGhost);
   }
 
   TieredCacheConfig config;
@@ -406,58 +435,27 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
   sched::Executor* executor = nullptr;
   util::Clock* clock = nullptr;
   bool asyncMode = false;
-  BlockCache dram;
+  std::array<Shard, kShards> shards;
+  std::uint64_t high[3] = {};  // per Tier: bytes for DRAM/disk, records for ghosts
+  std::uint64_t low[3] = {};
 
-  mutable std::mutex diskMu;
-  std::unordered_map<std::string, std::map<std::uint64_t, DiskEntry>> diskFiles;
-  std::list<BlockKey> diskLru;  // front = oldest
-  std::uint64_t diskUsedBytes = 0;
-  std::uint64_t diskBlocks = 0;
-
-  mutable std::mutex ghostMu;
-  std::list<std::string> ghostFifo;  // front = oldest
-  std::unordered_map<std::string, std::list<std::string>::iterator> ghostMap;
-  std::size_t ghostCapacity = 0;
-
-  mutable std::mutex lifeMu;
-  std::unordered_map<std::string, FileState> files;
-  std::atomic<std::uint64_t> globalEpoch{0};
+  std::mutex sweepMu;  // one watermark sweep at a time, any tier
+  std::function<void(EvictedBlock)> evictionSink;
 
   std::atomic<std::uint64_t> nextStamp{1};
+  std::array<std::atomic<std::uint64_t>, 3> used{};  // per Tier, as high/low
+  std::array<std::atomic<std::uint64_t>, 2> blocks{};  // kDram, kDisk
+  std::atomic<std::uint64_t> files{0};
+  std::atomic<std::uint64_t> pinned{0};
   std::atomic<std::size_t> pendingOps{0};
-
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> inserts{0};
-  std::atomic<std::uint64_t> dramHits{0};
-  std::atomic<std::uint64_t> diskHits{0};
-  std::atomic<std::uint64_t> diskEvictions{0};
-  std::atomic<std::uint64_t> diskWriteFailures{0};
-  std::atomic<std::uint64_t> admitsDram{0};
-  std::atomic<std::uint64_t> admitsDisk{0};
-  std::atomic<std::uint64_t> spills{0};
-  std::atomic<std::uint64_t> droppedSpills{0};
-  std::atomic<std::uint64_t> promotions{0};
-  std::atomic<std::uint64_t> ghostHits{0};
+  std::array<std::atomic<std::uint64_t>, kCounters> counters{};
 };
 
 // --------------------------------------------------- TieredBlockCache
 
 TieredBlockCache::TieredBlockCache(const TieredCacheConfig& config, oss::Oss* disk,
                                    sched::Executor* executor, util::Clock& clock)
-    : impl_(std::make_shared<Impl>(config, disk, executor, clock)) {
-  if (impl_->DiskEnabled()) {
-    // The sink runs under the DRAM sweep lock (never a shard lock); the
-    // raw pointer is safe because the sink lives inside impl_->dram.
-    Impl* impl = impl_.get();
-    impl_->dram.SetEvictionSink([impl](EvictedBlock block) {
-      const Impl::EpochStamp epochs = impl->SnapshotEpochs(block.key.path);
-      impl->RunTierOp([block = std::move(block), epochs](Impl& i) mutable {
-        i.Spill(std::move(block), epochs);
-      });
-    });
-  }
-}
+    : impl_(std::make_shared<Impl>(config, disk, executor, clock)) {}
 
 TieredBlockCache::~TieredBlockCache() = default;
 
@@ -475,141 +473,135 @@ std::optional<std::string> TieredBlockCache::Lookup(const std::string& path,
 TieredBlockCache::LookupResult TieredBlockCache::LookupDetailed(
     const std::string& path, std::uint64_t index) {
   Impl& impl = *impl_;
+  Impl::Shard& s = impl.ShardOf(path);
   LookupResult res;
-  if (auto hit = impl.dram.Lookup(path, index); hit.has_value()) {
-    impl.hits.fetch_add(1, std::memory_order_relaxed);
-    impl.dramHits.fetch_add(1, std::memory_order_relaxed);
-    impl.LifeOnAccess(path, /*reuse=*/true);
-    res.data = std::move(hit);
-    res.tier = CacheTier::kDram;
-    return res;
-  }
-  if (impl.DiskEnabled()) {
-    // Capture the purge epoch before touching the bytes: a purge landing
-    // after this point invalidates the scheduled promotion.
-    const Impl::EpochStamp epochs = impl.SnapshotEpochs(path);
-    if (auto hit = impl.DiskLookup(path, index); hit.has_value()) {
-      impl.hits.fetch_add(1, std::memory_order_relaxed);
-      impl.diskHits.fetch_add(1, std::memory_order_relaxed);
-      impl.LifeOnAccess(path, /*reuse=*/true);
-      res.data = hit->data;
-      res.tier = CacheTier::kDisk;
-      if (hit->promotable) {
-        impl.RunTierOp([path, index, data = std::move(hit->data), epochs](
-                           Impl& i) mutable {
-          i.Promote(path, index, std::move(data), epochs);
-        });
+  std::uint64_t promote = 0;  // the record's move stamp, if it should promote
+  {
+    std::lock_guard lock(s.mu);
+    const auto f = s.files.find(path);
+    std::uint32_t i = kNil;
+    if (f != s.files.end()) {
+      const auto b = f->second.blocks.find(index);
+      if (b != f->second.blocks.end()) i = b->second;
+    }
+    bool torn = false;
+    if (i != kNil && s.arena[i].where == kDram) {
+      impl.Touch(s, i);
+      res.data = s.arena[i].data;
+      res.tier = CacheTier::kDram;
+    } else if (i != kNil && s.arena[i].where == kDisk) {
+      Impl::Record& r = s.arena[i];
+      auto read = impl.disk->Read(DiskBlockPath(path, index), 0,
+                                  static_cast<std::uint32_t>(r.size));
+      torn = !read.ok() || read.value().size() != r.size;
+      if (!torn) {
+        impl.Touch(s, i);
+        res.data = std::move(read).value();
+        res.tier = CacheTier::kDisk;
+        if (r.pins == 0) promote = r.moved;  // pinned blocks stay put
       }
-      return res;
+    }
+    if (f != s.files.end()) {
+      FileLifecycle& life = f->second.life;
+      life.lastAccess = impl.clock->Now();
+      ++life.lookups;
+      if (res.data.has_value()) ++life.reuses;
+    }
+    if (torn) {
+      // Torn or missing backing file: drop the block, report a miss (the
+      // origin re-fetch repairs it).
+      impl.AddPins(s.arena[i], -s.arena[i].pins);
+      impl.Drop(s, i);
+      impl.ReleaseIfIdle(s, i);
     }
   }
-  impl.misses.fetch_add(1, std::memory_order_relaxed);
-  impl.LifeOnAccess(path, /*reuse=*/false);
+  impl.Count(res.tier == CacheTier::kDram   ? kDramHits
+             : res.tier == CacheTier::kDisk ? kDiskHits
+                                            : kMisses);
+  if (promote != 0) {
+    impl.RunTierOp([key = BlockKey{path, index}, promote, data = *res.data](Impl& i) mutable {
+      i.Promote(key, promote, std::move(data));
+    });
+  }
   return res;
 }
 
 bool TieredBlockCache::Contains(const std::string& path, std::uint64_t index) const {
-  if (impl_->dram.Contains(path, index)) return true;
-  return impl_->DiskEnabled() && impl_->DiskContains(path, index);
+  Impl::Shard& s = impl_->ShardOf(path);
+  std::lock_guard lock(s.mu);
+  const std::uint32_t i = s.Find(path, index);
+  return i != kNil && (s.arena[i].where == kDram || s.arena[i].where == kDisk);
 }
 
 void TieredBlockCache::Insert(const std::string& path, std::uint64_t index,
                               std::string data, bool pinned) {
   Impl& impl = *impl_;
-  impl.inserts.fetch_add(1, std::memory_order_relaxed);
-  impl.LifeOnInsert(path);
-  if (!impl.DiskEnabled()) {
-    impl.dram.Insert(path, index, std::move(data), pinned);
-    return;
+  impl.Count(kInserts);
+  Impl::Shard& s = impl.ShardOf(path);
+  {
+    std::lock_guard lock(s.mu);
+    const std::uint32_t i = impl.RecordFor(s, path, index);
+    Impl::Record& r = s.arena[i];
+    if (!impl.DiskEnabled()) {
+      impl.PutDram(s, i, std::move(data), pinned);
+    } else if (r.where == kDram) {
+      // Already DRAM-resident: replace in place (recency bumps like a hit).
+      impl.Count(kAdmitsDram);
+      impl.PutDram(s, i, std::move(data), pinned);
+    } else if (r.ghosted || r.where == kDisk) {
+      // The key has history (a ghost, or a disk copy being replaced): it
+      // earned a DRAM slot, and its pins come along.
+      if (r.ghosted) impl.Count(kGhostHits);
+      impl.SetGhost(s, i, false);
+      impl.Count(kAdmitsDram);
+      impl.PutDram(s, i, std::move(data), pinned);
+    } else {
+      // First touch: route to the disk tier and remember the key, so the
+      // next insert of this block proves reuse. Scans flow through disk.
+      impl.Count(kAdmitsDisk);
+      if (impl.DiskWrite(DiskBlockPath(path, index), data)) {
+        r.size = data.size();
+        if (pinned) impl.AddPins(r, 1);
+        impl.Place(s, i, kDisk);
+        impl.SetGhost(s, i, true);
+      } else {
+        // Backend refused the write: fall back to DRAM rather than lose a
+        // block the proxy may hold pinned mid-fetch.
+        impl.PutDram(s, i, std::move(data), pinned);
+      }
+    }
   }
-  if (impl.dram.Contains(path, index)) {
-    // Already DRAM-resident: replace in place (recency bumps like a hit).
-    impl.admitsDram.fetch_add(1, std::memory_order_relaxed);
-    impl.dram.Insert(path, index, std::move(data), pinned);
-    return;
-  }
-  const std::string ghostKey = DiskBlockPath(path, index);
-  const bool provenReuse = impl.GhostConsume(ghostKey);
-  const int diskPins = impl.DiskErase(path, index);  // exclusivity: one tier
-  if (provenReuse || diskPins >= 0) {
-    // The key has history (ghost entry, or a disk-resident copy being
-    // replaced): it earned a DRAM slot.
-    if (provenReuse) impl.ghostHits.fetch_add(1, std::memory_order_relaxed);
-    impl.admitsDram.fetch_add(1, std::memory_order_relaxed);
-    impl.dram.Insert(path, index, std::move(data), pinned || diskPins > 0);
-    // The block's pins follow it across the tier change: the entry must
-    // end up with (pinned ? 1 : 0) + diskPins pins, of which Insert's
-    // pinned flag already granted one.
-    int extra = (pinned ? 1 : 0) + std::max(diskPins, 0);
-    if (pinned || diskPins > 0) extra -= 1;
-    for (int i = 0; i < extra; ++i) impl.dram.Pin(path, index);
-    return;
-  }
-  // First touch: route to the disk tier and remember the key, so the next
-  // insert of this block proves reuse. Scans flow through disk.
-  impl.admitsDisk.fetch_add(1, std::memory_order_relaxed);
-  if (!impl.DiskInsert(path, index, data, pinned ? 1 : 0)) {
-    // Backend refused the write: fall back to DRAM rather than lose a
-    // block the proxy may hold pinned mid-fetch.
-    impl.dram.Insert(path, index, std::move(data), pinned);
-    return;
-  }
-  impl.GhostRecord(ghostKey);
+  impl.Sweep();
 }
 
 bool TieredBlockCache::Pin(const std::string& path, std::uint64_t index) {
-  Impl& impl = *impl_;
-  if (impl.dram.Pin(path, index)) return true;
-  if (!impl.DiskEnabled()) return false;
-  std::lock_guard lock(impl.diskMu);
-  const auto fileIt = impl.diskFiles.find(path);
-  if (fileIt == impl.diskFiles.end()) return false;
-  const auto it = fileIt->second.find(index);
-  if (it == fileIt->second.end()) return false;
-  ++it->second.pins;
+  Impl::Shard& s = impl_->ShardOf(path);
+  std::lock_guard lock(s.mu);
+  const std::uint32_t i = s.Find(path, index);
+  if (i == kNil || (s.arena[i].where != kDram && s.arena[i].where != kDisk)) return false;
+  impl_->AddPins(s.arena[i], 1);
   return true;
 }
 
 void TieredBlockCache::Unpin(const std::string& path, std::uint64_t index) {
-  Impl& impl = *impl_;
-  if (impl.dram.Contains(path, index)) {
-    impl.dram.Unpin(path, index);
-    return;
-  }
-  if (!impl.DiskEnabled()) return;
-  std::lock_guard lock(impl.diskMu);
-  const auto fileIt = impl.diskFiles.find(path);
-  if (fileIt == impl.diskFiles.end()) return;
-  const auto it = fileIt->second.find(index);
-  if (it == fileIt->second.end()) return;
-  if (it->second.pins > 0) --it->second.pins;
+  Impl::Shard& s = impl_->ShardOf(path);
+  std::lock_guard lock(s.mu);
+  const std::uint32_t i = s.Find(path, index);
+  if (i != kNil && s.arena[i].pins > 0) impl_->AddPins(s.arena[i], -1);
 }
 
 std::uint64_t TieredBlockCache::Purge(const std::string& path) {
-  Impl& impl = *impl_;
-  {
-    // Invalidate in-flight spill/promote tasks for this path. Only bump an
-    // existing entry: resident blocks imply a lifecycle entry, so a purge
-    // of an unknown path has nothing in flight to invalidate.
-    std::lock_guard lock(impl.lifeMu);
-    const auto it = impl.files.find(path);
-    if (it != impl.files.end()) ++it->second.epoch;
-  }
-  std::uint64_t dropped = impl.dram.Purge(path);
-  if (impl.DiskEnabled()) {
-    dropped += impl.DiskPurge(path);
-    impl.GhostDropPath(path);
-  }
-  return dropped;
+  Impl::Shard& s = impl_->ShardOf(path);
+  std::lock_guard lock(s.mu);
+  const auto f = s.files.find(path);
+  return f == s.files.end() ? 0 : impl_->PurgeFile(s, f);
 }
 
 std::uint64_t TieredBlockCache::PurgeAll() {
-  Impl& impl = *impl_;
-  impl.globalEpoch.fetch_add(1, std::memory_order_acq_rel);
-  std::uint64_t dropped = impl.dram.PurgeAll();
-  if (impl.DiskEnabled()) {
-    dropped += impl.DiskPurgeAll();
-    impl.GhostClear();
+  std::uint64_t dropped = 0;
+  for (Impl::Shard& s : impl_->shards) {
+    std::lock_guard lock(s.mu);
+    for (auto f = s.files.begin(); f != s.files.end();) dropped += impl_->PurgeFile(s, f++);
   }
   return dropped;
 }
@@ -631,56 +623,52 @@ BlockCacheStats TieredBlockCache::GetStats() const {
 
 TieredCacheStats TieredBlockCache::GetTieredStats() const {
   const Impl& impl = *impl_;
+  const auto load = [](const std::atomic<std::uint64_t>& a) {
+    return a.load(std::memory_order_relaxed);
+  };
   TieredCacheStats t;
-  t.dram = impl.dram.GetStats();
-  t.hits = impl.hits.load(std::memory_order_relaxed);
-  t.misses = impl.misses.load(std::memory_order_relaxed);
-  t.inserts = impl.inserts.load(std::memory_order_relaxed);
-  t.dramHits = impl.dramHits.load(std::memory_order_relaxed);
-  t.diskHits = impl.diskHits.load(std::memory_order_relaxed);
-  t.diskEvictions = impl.diskEvictions.load(std::memory_order_relaxed);
-  t.diskWriteFailures = impl.diskWriteFailures.load(std::memory_order_relaxed);
-  t.admitsDram = impl.admitsDram.load(std::memory_order_relaxed);
-  t.admitsDisk = impl.admitsDisk.load(std::memory_order_relaxed);
-  t.spills = impl.spills.load(std::memory_order_relaxed);
-  t.droppedSpills = impl.droppedSpills.load(std::memory_order_relaxed);
-  t.promotions = impl.promotions.load(std::memory_order_relaxed);
-  t.ghostHits = impl.ghostHits.load(std::memory_order_relaxed);
-  {
-    std::lock_guard lock(impl.diskMu);
-    t.diskUsedBytes = impl.diskUsedBytes;
-    t.diskBlockCount = impl.diskBlocks;
-  }
-  {
-    std::lock_guard lock(impl.lifeMu);
-    t.filesTracked = impl.files.size();
-  }
+  t.dramHits = impl.Get(kDramHits);
+  t.diskHits = impl.Get(kDiskHits);
+  t.hits = t.dramHits + t.diskHits;
+  t.misses = impl.Get(kMisses);
+  t.inserts = impl.Get(kInserts);
+  t.dram.hits = t.dramHits;
+  t.dram.misses = t.diskHits + t.misses;
+  t.dram.inserts = impl.Get(kDramInserts);
+  t.dram.evictions = impl.Get(kDramEvictions);
+  t.dram.usedBytes = load(impl.used[kDram]);
+  t.dram.blockCount = load(impl.blocks[kDram]);
+  t.diskUsedBytes = load(impl.used[kDisk]);
+  t.diskBlockCount = load(impl.blocks[kDisk]);
+  t.diskEvictions = impl.Get(kDiskEvictions);
+  t.diskWriteFailures = impl.Get(kDiskWriteFailures);
+  t.admitsDram = impl.Get(kAdmitsDram);
+  t.admitsDisk = impl.Get(kAdmitsDisk);
+  t.spills = impl.Get(kSpills);
+  t.droppedSpills = impl.Get(kDroppedSpills);
+  t.promotions = impl.Get(kPromotions);
+  t.ghostHits = impl.Get(kGhostHits);
+  t.filesTracked = load(impl.files);
+  t.pinnedBlocks = load(impl.pinned);
   return t;
 }
 
 std::uint64_t TieredBlockCache::UsedBytes() const {
-  std::uint64_t bytes = impl_->dram.UsedBytes();
-  std::lock_guard lock(impl_->diskMu);
-  return bytes + impl_->diskUsedBytes;
+  return impl_->used[kDram].load(std::memory_order_relaxed) +
+         impl_->used[kDisk].load(std::memory_order_relaxed);
 }
 
 std::optional<FileLifecycle> TieredBlockCache::FileStats(
     const std::string& path) const {
-  const Impl& impl = *impl_;
-  FileLifecycle life;
-  {
-    std::lock_guard lock(impl.lifeMu);
-    const auto it = impl.files.find(path);
-    if (it == impl.files.end()) return std::nullopt;
-    life = it->second.life;
-  }
-  life.dramBlocks = impl.dram.CountBlocks(path);
-  {
-    std::lock_guard lock(impl.diskMu);
-    const auto it = impl.diskFiles.find(path);
-    life.diskBlocks = it == impl.diskFiles.end() ? 0 : it->second.size();
-  }
-  return life;
+  Impl::Shard& s = impl_->ShardOf(path);
+  std::lock_guard lock(s.mu);
+  const auto f = s.files.find(path);
+  if (f == s.files.end()) return std::nullopt;
+  return f->second.life;
+}
+
+void TieredBlockCache::SetEvictionSink(std::function<void(EvictedBlock)> sink) {
+  impl_->evictionSink = std::move(sink);
 }
 
 std::size_t TieredBlockCache::PendingTierOps() const {

@@ -1,29 +1,40 @@
-// Two-tier proxy cache: the sharded-LRU DRAM BlockCache layered over a
-// local-disk tier backed by any oss::Oss (LocalOss in the daemon, MemOss
-// in simulation). The shape follows ScaleStore's DRAM-over-SSD buffer
-// manager and XCache's disk-backed proxy, with workload-driven placement:
+// Two-tier proxy cache: a DRAM tier over a local-disk tier backed by any
+// oss::Oss (LocalOss in the daemon, MemOss in simulation). The shape
+// follows ScaleStore's DRAM-over-SSD buffer manager and XCache's
+// disk-backed proxy, with workload-driven placement:
 //
 //   - Ghost-list admission (2Q/TinyLFU-style): a first-touch block goes to
-//     the DISK tier and leaves a ghost entry; only a block that proves
-//     reuse (its key is found in the ghost list, or it is hit on disk)
-//     earns a DRAM slot. A sequential scan therefore flows through the
-//     disk tier without evicting the DRAM-resident hot set.
-//   - Spill-on-evict: DRAM watermark victims are written to disk (via the
-//     BlockCache eviction sink) instead of being dropped, so DRAM eviction
-//     is a demotion, not data loss.
+//     the DISK tier and is remembered in the ghost FIFO; only a block that
+//     proves reuse (it is still remembered, or it is on disk) earns a DRAM
+//     slot. A sequential scan therefore flows through the disk tier
+//     without evicting the DRAM-resident hot set.
+//   - Spill-on-evict: DRAM watermark victims are written to disk instead
+//     of being dropped, so DRAM eviction is a demotion, not data loss.
 //   - Promote-on-disk-hit: a disk hit returns the bytes immediately and
 //     promotes the block to DRAM.
-//   - A block lives in at most ONE tier at a time (admission and promotion
-//     erase the disk copy), so a stale disk copy can never shadow a newer
-//     DRAM write.
+//   - A block lives in at most ONE tier at a time, so a stale disk copy
+//     can never shadow a newer DRAM write.
 //
-// Spill and promotion run asynchronously on a small background worker (any
-// sched::Executor) when `asyncTierOps` is set; tests that want a
-// deterministic single-threaded oracle run with asyncTierOps=false, which
-// applies them inline. Async tasks capture a weak reference to the cache
-// internals plus the purge epoch current at capture time, so a task that
-// lands after the cache died, or after a purge, drops itself instead of
-// resurrecting purged blocks.
+// One block table holds it all. Each (path, index) has exactly one owner
+// record carrying its tier (DRAM, disk, or neither — a ghost), its pin
+// count, its recency stamp, its size and, while in DRAM, its bytes. A tier
+// move is a state change on that record under the one shard lock that
+// guards it, so pins never leave the record and a purge is ordered
+// against every move it races with. Records are sharded by path, so a
+// path's purge, its lifecycle stats and its ghosts live in one shard.
+// Recency lists (the DRAM LRU, the disk LRU and the ghost FIFO) are
+// index-linked inside each shard's record arena, and one watermark sweep
+// serves all three: each shard offers its oldest evictable record and the
+// sweep takes the smallest stamp, so eviction order is globally LRU.
+//
+// With `asyncTierOps` set (the proxy's setting), spill and promotion are
+// posted to the given executor and applied on a later turn, by a task
+// holding a weak reference to the cache internals; a task whose record
+// changed meanwhile (purged, re-inserted, touched again) drops itself.
+// The proxy passes its own single-threaded executor, so tier ops are
+// deferred off the lookup/insert that caused them, not run in parallel
+// with it. With asyncTierOps=false they apply inline — the deterministic
+// mode the tests and the benchmark replay use.
 //
 // Per-file lifecycle stats (first/last access, lookups, reuses, resident
 // blocks per tier) feed `scalla_cli cachestat` and the Bellavita-style
@@ -31,10 +42,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "oss/oss.h"
 #include "pcache/block_cache.h"
@@ -81,15 +92,20 @@ struct TieredCacheStats {
   std::uint64_t admitsDram = 0;  // inserts that earned a DRAM slot
   std::uint64_t admitsDisk = 0;  // first-touch inserts routed to disk
   std::uint64_t spills = 0;      // DRAM victims demoted to disk
-  std::uint64_t droppedSpills = 0;  // DRAM victims lost (stale epoch / failure)
+  std::uint64_t droppedSpills = 0;  // DRAM victims lost (changed in flight / failure)
   std::uint64_t promotions = 0;     // disk hits promoted to DRAM
   std::uint64_t ghostHits = 0;      // admissions proven by the ghost list
-  std::uint64_t filesTracked = 0;   // lifecycle entries
+  std::uint64_t filesTracked = 0;   // lifecycle entries (files with a record)
+  std::uint64_t pinnedBlocks = 0;   // resident blocks holding >= 1 pin
 };
 
 /// Lifecycle of one path through the cache (Bellavita et al.'s access
 /// metadata: when it arrived, when it was last wanted, how often reuse
-/// actually happened, and where its blocks live right now).
+/// actually happened, and where its blocks live right now). The entry sits
+/// beside the file's block records: it is created by the file's first
+/// insert and dropped with its last record (resident or ghost), so a
+/// lookup of an untracked path is not recorded and the table stays bounded
+/// by the records the tiers and the ghost FIFO hold.
 struct FileLifecycle {
   TimePoint firstAccess{};
   TimePoint lastAccess{};
@@ -130,21 +146,23 @@ class TieredBlockCache {
 
   /// Admission-controlled store: DRAM if the block is already DRAM-resident
   /// or proves reuse via the ghost list, else the disk tier. With the disk
-  /// tier disabled, behaves exactly like BlockCache::Insert.
+  /// tier disabled, every insert replaces or adds a DRAM block.
   void Insert(const std::string& path, std::uint64_t index, std::string data,
               bool pinned = false);
 
   /// Pins the block in whichever tier holds it (pinned blocks are never
-  /// evicted, spilled over, or purged). Returns false on miss.
+  /// evicted, spilled, or purged; a promotion keeps the pins). Returns
+  /// false on miss.
   bool Pin(const std::string& path, std::uint64_t index);
   void Unpin(const std::string& path, std::uint64_t index);
 
   /// Drops every unpinned block of `path` from BOTH tiers (and the ghost
-  /// list), and invalidates in-flight spill/promote tasks for it.
+  /// FIFO); in-flight spill/promote tasks for them find no record and drop
+  /// themselves.
   std::uint64_t Purge(const std::string& path);
   std::uint64_t PurgeAll();
 
-  /// Legacy combined view (what the single-tier BlockCache reported):
+  /// Combined view (the single-tier cache's stats):
   /// hits/misses are tier-agnostic lookup outcomes, usedBytes/blockCount
   /// span both tiers, evictions counts true data loss only (a spill to
   /// disk is a demotion, not an eviction).
@@ -153,6 +171,12 @@ class TieredBlockCache {
   std::uint64_t UsedBytes() const;
 
   std::optional<FileLifecycle> FileStats(const std::string& path) const;
+
+  /// With the disk tier off, DRAM watermark victims are handed to `sink`
+  /// (key and bytes, oldest first) instead of being dropped. The sink runs
+  /// outside every shard lock but under the sweep lock, so calls never
+  /// overlap. Set once, before the cache sees concurrent traffic.
+  void SetEvictionSink(std::function<void(EvictedBlock)> sink);
 
   /// Spill/promote tasks posted but not yet executed (0 at quiescence;
   /// tests drain on this before asserting exact occupancy).

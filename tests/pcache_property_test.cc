@@ -1,18 +1,22 @@
 // Differential property tests for the proxy cache.
 //
-// 1. BlockCache vs a single-map reference model: the model re-implements
-//    the documented semantics (global-stamp recency, watermark burst
-//    eviction of the globally-oldest unpinned block, pin counts, purge)
-//    with none of the sharding, and a seeded random op stream must agree
-//    on every observable — lookup results, return counts, stats, the
-//    exact eviction-sink victim sequence.
+// 1. The DRAM tier (TieredBlockCache with its disk tier off) vs a
+//    single-map reference model: the model re-implements the documented
+//    semantics (global-stamp recency, watermark burst eviction of the
+//    globally-oldest unpinned block, pin counts, purge) with none of the
+//    sharding, and a seeded random op stream must agree on every
+//    observable — lookup results, return counts, stats, the exact
+//    eviction-sink victim sequence.
 // 2. TieredBlockCache (DRAM + MemOss disk tier, inline tier ops) against
 //    an integrity model: a hit in either tier must return the bytes most
 //    recently inserted, pinned blocks must never be lost or purged, and
 //    the per-tier accounting identities must hold at every audit point.
 // 3. A multi-threaded hammer over the async-tier-ops configuration, run
-//    under TSan by scripts/verify.sh.
-// 4. The scan-resistance regression gate: a sequential scan of 2x the
+//    under TSan by scripts/verify.sh, and repeated under ctest -j load by
+//    the pcache_property_hammer entry.
+// 4. Tier moves racing pins and purges, stepped one task at a time on the
+//    discrete-event engine, and the bound on the lifecycle table.
+// 5. The scan-resistance regression gate: a sequential scan of 2x the
 //    DRAM tier must not dent the Zipf hot set's hit rate by more than
 //    5 points. Strict LRU (disk tier disabled) fails this bound; ghost
 //    admission passes it.
@@ -30,6 +34,7 @@
 #include "pcache/block_cache.h"
 #include "pcache/tiered_cache.h"
 #include "sched/thread_executor.h"
+#include "sim/event_engine.h"
 #include "util/clock.h"
 #include "util/rng.h"
 
@@ -37,6 +42,14 @@ namespace scalla::pcache {
 namespace {
 
 // ------------------------------------------------ BlockCache vs reference
+
+// The DRAM tier alone: the tiered cache with its disk tier off.
+class BlockCache : public TieredBlockCache {
+ public:
+  explicit BlockCache(const BlockCacheConfig& dram)
+      : TieredBlockCache(TieredCacheConfig{dram}, nullptr, nullptr,
+                         util::SystemClock::Instance()) {}
+};
 
 // The reference model: one flat map, no shards, no LRU lists. Recency is
 // the global stamp alone; eviction repeatedly removes the smallest-stamp
@@ -181,7 +194,6 @@ TEST_P(PcachePropertyTest, BlockCacheAgreesWithReferenceModel) {
   cfg.capacityBytes = 1024;
   cfg.highWatermark = 0.9;
   cfg.lowWatermark = 0.6;
-  cfg.shards = 4;  // the model has none: sharding must be invisible
 
   BlockCache cache(cfg);
   ReferenceModel model(cfg);
@@ -291,7 +303,6 @@ TEST_P(PcachePropertyTest, TieredCacheNeverServesStaleOrTornBytes) {
   cfg.dram.capacityBytes = 512;  // 16 slots: constant spill pressure
   cfg.dram.highWatermark = 0.9;
   cfg.dram.lowWatermark = 0.6;
-  cfg.dram.shards = 4;
   cfg.diskCapacityBytes = 2048;
   cfg.diskHighWatermark = 0.9;
   cfg.diskLowWatermark = 0.7;
@@ -415,12 +426,19 @@ TEST_P(PcachePropertyTest, TieredCacheNeverServesStaleOrTornBytes) {
       // by more than the pinned bytes themselves.
       ASSERT_LE(stats.dram.usedBytes, cfg.dram.capacityBytes + pinnedBytes);
       ASSERT_LE(stats.diskUsedBytes, cfg.diskCapacityBytes + pinnedBytes);
-      // Every pinned block is resident and readable.
+      // Every pinned block is resident and readable, and the gauge counts
+      // exactly the blocks the model holds pins on.
+      std::uint64_t pinnedKeys = 0;
       for (const auto& [key, e] : model) {
         if (e.pins == 0) continue;
+        ++pinnedKeys;
         ASSERT_TRUE(cache.Contains(key.first, key.second))
             << "pinned " << key.first << "#" << key.second << " lost at step " << step;
       }
+      ASSERT_EQ(stats.pinnedBlocks, pinnedKeys) << "at step " << step;
+      // Lifecycle entries exist only for files with a record.
+      ASSERT_LE(stats.filesTracked,
+                stats.dram.blockCount + stats.diskBlockCount + cfg.ghostEntries);
     }
   }
 
@@ -445,7 +463,6 @@ TEST(TieredCacheConcurrencyTest, AsyncTierOpsSurviveThreads) {
   cfg.dram.capacityBytes = 64 * 32;  // tight: constant eviction + spill
   cfg.dram.highWatermark = 0.9;
   cfg.dram.lowWatermark = 0.5;
-  cfg.dram.shards = 4;
   cfg.diskCapacityBytes = 64 * 96;
   cfg.diskHighWatermark = 0.9;
   cfg.diskLowWatermark = 0.6;
@@ -514,6 +531,7 @@ TEST(TieredCacheConcurrencyTest, AsyncTierOpsSurviveThreads) {
     ASSERT_EQ(cache.PendingTierOps(), 0u);
 
     const auto stats = cache.GetTieredStats();
+    EXPECT_EQ(stats.pinnedBlocks, 0u);  // every Pin was paired with an Unpin
     EXPECT_EQ(stats.hits, stats.dramHits + stats.diskHits);
     EXPECT_LE(stats.dram.usedBytes, cfg.dram.capacityBytes);
     EXPECT_LE(stats.diskUsedBytes, cfg.diskCapacityBytes);
@@ -529,6 +547,165 @@ TEST(TieredCacheConcurrencyTest, AsyncTierOpsSurviveThreads) {
   // The cache is gone; any task still queued on the executor must no-op
   // (weak-reference capture) instead of touching freed memory.
   executor.Stop();
+}
+
+// ------------------------------------ tier moves on a deterministic engine
+
+// asyncTierOps on a discrete-event engine: spill and promote tasks run only
+// when the test steps the engine, so each interleaving below is exact.
+class TierMoveTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kBlock = 16;
+
+  TierMoveTest() : disk_(engine_.clock()) {
+    cfg_.dram.blockSize = kBlock;
+    cfg_.dram.capacityBytes = 4 * kBlock;  // the 4th DRAM block sweeps 2
+    cfg_.dram.highWatermark = 0.9;
+    cfg_.dram.lowWatermark = 0.5;
+    cfg_.diskCapacityBytes = 64 * kBlock;
+    cfg_.asyncTierOps = true;
+  }
+
+  static std::string Block(char fill) { return std::string(kBlock, fill); }
+
+  // Leaves `path` with a promotion and two spills queued: block 0 is on
+  // disk with its promotion posted; blocks 1..4 were admitted to DRAM
+  // (first touch to disk, second insert proves reuse), and the 4th crossed
+  // the high watermark, so the two oldest are evicted and spilling.
+  void QueueMoves(TieredBlockCache& cache, const std::string& path) {
+    cache.Insert(path, 0, Block('0'));
+    ASSERT_EQ(cache.LookupDetailed(path, 0).tier, CacheTier::kDisk);
+    for (std::uint64_t i = 1; i <= 4; ++i) {
+      cache.Insert(path, i, Block('x'));
+      cache.Insert(path, i, Block('x'));
+    }
+    ASSERT_EQ(cache.PendingTierOps(), 3u);
+    ASSERT_FALSE(cache.Contains(path, 1));  // in flight: in neither tier
+  }
+
+  void ExpectEmpty(TieredBlockCache& cache, const std::string& path) {
+    for (std::uint64_t i = 0; i <= 4; ++i) {
+      EXPECT_FALSE(cache.Contains(path, i)) << path << "#" << i << " came back";
+    }
+    EXPECT_EQ(cache.UsedBytes(), 0u);
+    EXPECT_EQ(cache.GetStats().blockCount, 0u);
+    EXPECT_TRUE(disk_.List(path + "#b").empty());
+  }
+
+  sim::EventEngine engine_;
+  oss::MemOss disk_;
+  TieredCacheConfig cfg_;
+};
+
+TEST_F(TierMoveTest, PinTakenAfterPromotionIsQueuedMovesWithTheBlock) {
+  TieredBlockCache cache(cfg_, &disk_, &engine_, engine_.clock());
+  cache.Insert("/p", 0, Block('p'));  // first touch: disk
+  ASSERT_EQ(cache.LookupDetailed("/p", 0).tier, CacheTier::kDisk);
+  ASSERT_EQ(cache.PendingTierOps(), 1u);  // the promotion
+  ASSERT_TRUE(cache.Pin("/p", 0));
+  engine_.RunUntilIdle();
+
+  auto stats = cache.GetTieredStats();
+  EXPECT_EQ(stats.promotions, 1u);
+  EXPECT_EQ(stats.dram.blockCount, 1u);
+  EXPECT_EQ(stats.diskBlockCount, 0u);
+  EXPECT_EQ(stats.pinnedBlocks, 1u);
+  EXPECT_EQ(cache.PurgeAll(), 0u);  // the pin came along: not purgeable
+  EXPECT_EQ(cache.LookupDetailed("/p", 0).tier, CacheTier::kDram);
+
+  cache.Unpin("/p", 0);
+  EXPECT_EQ(cache.GetTieredStats().pinnedBlocks, 0u);
+  EXPECT_EQ(cache.PurgeAll(), 1u);
+  EXPECT_EQ(cache.UsedBytes(), 0u);
+  EXPECT_EQ(cache.GetStats().blockCount, 0u);
+  EXPECT_TRUE(disk_.List("/p#b").empty());
+}
+
+TEST_F(TierMoveTest, PurgesBeatQueuedSpillsAndPromotions) {
+  TieredBlockCache cache(cfg_, &disk_, &engine_, engine_.clock());
+  QueueMoves(cache, "/one");
+  EXPECT_EQ(cache.Purge("/one"), 3u);  // block 0 on disk, 3 and 4 in DRAM
+  engine_.RunUntilIdle();
+  ExpectEmpty(cache, "/one");
+
+  QueueMoves(cache, "/all");
+  EXPECT_EQ(cache.PurgeAll(), 3u);
+  engine_.RunUntilIdle();
+  ExpectEmpty(cache, "/all");
+
+  const auto stats = cache.GetTieredStats();
+  EXPECT_EQ(stats.promotions, 0u);
+  EXPECT_EQ(stats.spills, 0u);
+  EXPECT_EQ(stats.droppedSpills, 4u);
+  EXPECT_EQ(stats.filesTracked, 0u);
+  EXPECT_EQ(cache.PendingTierOps(), 0u);
+}
+
+TEST_F(TierMoveTest, InsertWhileSpillIsQueuedKeepsTheNewCopy) {
+  TieredBlockCache cache(cfg_, &disk_, &engine_, engine_.clock());
+  QueueMoves(cache, "/r");
+  cache.Insert("/r", 1, Block('n'));  // lands while block 1's spill is queued
+  engine_.RunUntilIdle();
+
+  // Block 1's queued spill finds its record moved and drops itself instead
+  // of writing the evicted bytes over the new copy; block 2's lands.
+  EXPECT_EQ(cache.Lookup("/r", 1), Block('n'));
+  const auto stats = cache.GetTieredStats();
+  EXPECT_EQ(stats.droppedSpills, 1u);
+  EXPECT_EQ(stats.spills, 1u);
+  EXPECT_EQ(cache.Lookup("/r", 2), Block('x'));
+}
+
+TEST_F(TierMoveTest, InsertOverPinnedDiskCopyKeepsEveryPin) {
+  TieredBlockCache cache(cfg_, &disk_, &engine_, engine_.clock());
+  cache.Insert("/c", 0, Block('a'), /*pinned=*/true);  // disk, 1 pin
+  ASSERT_TRUE(cache.Pin("/c", 0));                     // 2 pins
+  cache.Insert("/c", 0, Block('b'), /*pinned=*/true);  // to DRAM, 3 pins
+  engine_.RunUntilIdle();
+
+  const auto stats = cache.GetTieredStats();
+  EXPECT_EQ(stats.dram.blockCount, 1u);
+  EXPECT_EQ(stats.diskBlockCount, 0u);
+  EXPECT_EQ(stats.pinnedBlocks, 1u);
+  EXPECT_EQ(cache.Lookup("/c", 0), Block('b'));
+  for (int pin = 0; pin < 3; ++pin) {
+    EXPECT_EQ(cache.PurgeAll(), 0u) << "purged with " << 3 - pin << " pins held";
+    cache.Unpin("/c", 0);
+  }
+  EXPECT_EQ(cache.GetTieredStats().pinnedBlocks, 0u);
+  EXPECT_EQ(cache.PurgeAll(), 1u);
+  EXPECT_EQ(cache.UsedBytes(), 0u);
+  EXPECT_TRUE(disk_.List("/c#b").empty());
+}
+
+// ------------------------------------------------- bounded lifecycle table
+
+TEST(FileLifecycleTest, EntriesLiveExactlyAsLongAsTheFilesRecords) {
+  TieredCacheConfig cfg;
+  cfg.dram.blockSize = 32;
+  cfg.dram.capacityBytes = 1024;
+  cfg.diskCapacityBytes = 4096;
+  cfg.asyncTierOps = false;
+  util::ManualClock clock;
+  oss::MemOss disk(clock);
+  TieredBlockCache cache(cfg, &disk, nullptr, clock);
+
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_FALSE(cache.Lookup("/never/" + std::to_string(i), 0).has_value());
+  }
+  EXPECT_EQ(cache.GetTieredStats().misses, 100000u);
+  EXPECT_EQ(cache.GetTieredStats().filesTracked, 0u);
+
+  cache.Insert("/kept", 0, std::string(32, 'k'));
+  ASSERT_TRUE(cache.Lookup("/kept", 0).has_value());
+  const auto life = cache.FileStats("/kept");
+  ASSERT_TRUE(life.has_value());
+  EXPECT_EQ(life->lookups, 1u);
+  EXPECT_EQ(life->reuses, 1u);
+  EXPECT_EQ(cache.GetTieredStats().filesTracked, 1u);
+  EXPECT_EQ(cache.Purge("/kept"), 1u);  // the last record, ghost included
+  EXPECT_FALSE(cache.FileStats("/kept").has_value());
+  EXPECT_EQ(cache.GetTieredStats().filesTracked, 0u);
 }
 
 // ------------------------------------------------- scan-resistance gate
@@ -577,7 +754,6 @@ TEST(ScanResistanceTest, SequentialScanBarelyDentsHotSetHitRate) {
   tiered.dram.capacityBytes = static_cast<std::uint64_t>(kDramSlots) * kBlock;
   tiered.dram.highWatermark = 0.95;
   tiered.dram.lowWatermark = 0.8;
-  tiered.dram.shards = 4;
   tiered.diskCapacityBytes = 4ull * 1024 * 1024;
   tiered.asyncTierOps = false;
 

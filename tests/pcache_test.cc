@@ -13,6 +13,7 @@
 #include "oss/mem_oss.h"
 #include "pcache/block_cache.h"
 #include "pcache/proxy_node.h"
+#include "pcache/tiered_cache.h"
 #include "sched/thread_executor.h"
 #include "sim/cluster.h"
 #include "xrd/scalla_node.h"
@@ -21,9 +22,16 @@ namespace scalla {
 namespace {
 
 using cms::AccessMode;
-using pcache::BlockCache;
 using pcache::BlockCacheConfig;
 using pcache::SingleFlight;
+
+// The DRAM tier alone: the tiered cache with its disk tier off.
+class BlockCache : public pcache::TieredBlockCache {
+ public:
+  explicit BlockCache(const BlockCacheConfig& dram)
+      : TieredBlockCache(pcache::TieredCacheConfig{dram}, nullptr, nullptr,
+                         util::SystemClock::Instance()) {}
+};
 
 // ------------------------------------------------------------ BlockCache
 
@@ -33,7 +41,6 @@ BlockCacheConfig SmallCache() {
   cfg.capacityBytes = 100;
   cfg.highWatermark = 0.9;  // evict above 90 bytes
   cfg.lowWatermark = 0.5;   // down to 50 bytes
-  cfg.shards = 4;
   return cfg;
 }
 
@@ -194,7 +201,6 @@ TEST(PcacheConcurrencyTest, CacheAndSingleFlightSurviveThreads) {
   cfg.capacityBytes = 64 * 64;  // tight: constant eviction pressure
   cfg.highWatermark = 0.9;
   cfg.lowWatermark = 0.5;
-  cfg.shards = 4;
   BlockCache cache(cfg);
   SingleFlight flight;
 
