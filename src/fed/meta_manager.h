@@ -2,40 +2,37 @@
 //
 // The paper's 64-ary B-tree composes: the same subscribe / locate /
 // redirect machinery that lets a manager front 64 servers lets a
-// meta-manager front 64 *clusters*. Independent clusters' head managers
-// subscribe here (FedSubscribe) exactly as servers log into a manager;
-// the meta resolves a path to the owning cluster with the same
-// name-cache machinery one level up — ServerSet correction vectors keyed
-// by cluster ID instead of server slot, CRC32 + Fibonacci hashing and
-// window eviction reused verbatim from src/cms/ — and redirects the
-// client to that cluster's head, which resolves to a data server as
-// today. Request-rarely-respond also lifts one level: the meta floods
-// FedQuery to subscribed heads and only owners answer (FedHave).
+// meta-manager front 64 *clusters*. The meta is an xrd::Redirector
+// configured for cluster children — the same membership, name cache,
+// response queue, resolver, heartbeat and StatsQuery fold a cluster head
+// runs, with ServerSet correction vectors keyed by cluster ID instead of
+// server slot, FedQuery as its flood frame (owner heads answer FedHave;
+// request-rarely-respond lifted one level) and fed.* counter names. A
+// client is redirected to the owning cluster's head, which resolves to a
+// data server as today.
 //
-// Cross-cluster replica preference uses locality weights: each cluster
-// subscribes with a distance weight folded into its reported load, so a
-// load-based selection prefers near clusters when several hold a file.
+// What the meta adds is only its federation edges:
+//   - FedSubscribe: cluster heads join exactly as servers log into a
+//     manager, each with a locality weight;
+//   - FedHave / FedGone digests from heads, and FedLocate, the explicit
+//     "which cluster owns <path>?" query;
+//   - the locality weight itself: a cluster's load bias is
+//     locality * kLocalityScale, added to its heads' piggybacked load, so a
+//     load-based selection prefers near clusters when several hold a file.
 // A pcache proxy whose origin head is the meta acts as a federation edge
 // cache with no new proxy code (its embedded client follows the two-hop
 // redirect walk like any other client).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
-#include "cms/location_cache.h"
-#include "cms/maintenance.h"
-#include "cms/membership.h"
-#include "cms/resolver.h"
-#include "cms/response_queue.h"
-#include "cms/selection.h"
 #include "cms/types.h"
 #include "net/fabric.h"
 #include "obs/metrics.h"
 #include "sched/executor.h"
+#include "xrd/redirector.h"
 
 namespace scalla::fed {
 
@@ -73,96 +70,42 @@ class MetaManager : public net::MessageSink {
 
   // ---- introspection (tests / benches / tools) ----
   const MetaConfig& config() const { return config_; }
-  cms::Membership& membership() { return membership_; }
-  cms::LocationCache& cache() { return cache_; }
-  cms::Resolver& resolver() { return resolver_; }
-  net::NodeAddr HeadOfCluster(ServerSlot clusterId) const;
-  std::optional<ServerSlot> ClusterOfHead(net::NodeAddr addr) const;
+  cms::Membership& membership() { return redirector_.membership(); }
+  cms::LocationCache& cache() { return redirector_.cache(); }
+  cms::Resolver& resolver() { return redirector_.resolver(); }
+  net::NodeAddr HeadOfCluster(ServerSlot clusterId) const {
+    return redirector_.AddrOfSlot(clusterId);
+  }
+  std::optional<ServerSlot> ClusterOfHead(net::NodeAddr addr) const {
+    return redirector_.SlotOfAddr(addr);
+  }
 
   obs::MetricsRegistry& metrics() { return metrics_; }
-  /// Local metrics under fed.* plus the reused cache/resolver/respq
-  /// component stats — same canonical dotted names as a ScallaNode, so
-  /// federation-level StatsQuery merges compose with cluster aggregates.
+  /// Local metrics under fed.* plus the cms component stats — the same
+  /// canonical dotted names as a ScallaNode, so federation-level
+  /// StatsQuery merges compose with cluster aggregates.
   obs::MetricsSnapshot SnapshotMetrics() const;
 
  private:
-  // fed protocol (cluster heads)
   void HandleSubscribe(net::NodeAddr from, const proto::FedSubscribe& m);
-  void HandleHave(net::NodeAddr from, const proto::FedHave& m);
-  void HandleGone(net::NodeAddr from, const proto::FedGone& m);
   void HandleLocate(net::NodeAddr from, const proto::FedLocate& m);
 
-  // xrd protocol (clients): every meta answer is redirect / wait / error —
-  // the meta serves no data and holds no namespace, only location bits.
-  void HandleOpen(net::NodeAddr from, const proto::XrdOpen& m);
-  void HandleStat(net::NodeAddr from, const proto::XrdStat& m);
-  void HandleUnlink(net::NodeAddr from, const proto::XrdUnlink& m);
-  void HandleChecksum(net::NodeAddr from, const proto::XrdChecksum& m);
-  void HandlePrepare(net::NodeAddr from, const proto::XrdPrepare& m);
-
-  // liveness
-  void HeartbeatTick();
-  void HandlePong(net::NodeAddr from, const proto::CmsPong& m);
-
-  // observability
-  void HandleStatsQuery(net::NodeAddr from, const proto::StatsQuery& m);
-  void HandleStatsReply(net::NodeAddr from, const proto::StatsReply& m);
-  void FinishStatsAggregation(std::uint64_t aggId);
-
-  void SendQueryDown(ServerSet targets, const std::string& path, std::uint32_t hash,
-                     cms::AccessMode mode);
-  /// Pick a writable, selectable cluster for a creation (avoiding the one
-  /// that just refused the client).
-  ServerSlot ChooseCreateTarget(const std::string& path, ServerSlot avoid);
-  std::uint32_t EffectiveLoad(ServerSlot clusterId, std::uint32_t headLoad) const;
-
   MetaConfig config_;
-  sched::Executor& executor_;
   net::Fabric& fabric_;
-
-  cms::Membership membership_;
-  cms::LocationCache cache_;
-  cms::FastResponseQueue respq_;
-  cms::SelectionPolicy selection_;
-  cms::Resolver resolver_;
-  cms::MaintenanceDriver maintenance_;
 
   obs::MetricsRegistry metrics_;
   struct FedMetrics {
     obs::Counter& subscribes;       // FedSubscribe frames admitted
     obs::Counter& locates;          // client-visible resolutions served
-    obs::Counter& redirects;        // redirects issued to cluster heads
-    obs::Counter& waits;            // wait answers issued
     obs::Counter& notFound;         // global-namespace misses
     obs::Counter& clusterDeaths;    // heartbeat death declarations
-    obs::Counter& pingsSent;
-    obs::Counter& pongsReceived;
-    obs::Counter& statsQueries;
     explicit FedMetrics(obs::MetricsRegistry& r);
   };
   FedMetrics fm_;
-
-  // cluster slot <-> head fabric address, plus per-cluster locality weight
-  std::array<net::NodeAddr, kMaxServersPerSet> slotAddr_{};
-  std::array<std::uint32_t, kMaxServersPerSet> locality_{};
-  std::unordered_map<net::NodeAddr, ServerSlot> addrSlot_;
-
+  // Registers fed.redirects_issued, fed.waits_issued, fed.pings_sent,
+  // fed.pongs_received and fed.stats_queries.
+  xrd::Redirector redirector_;
   bool started_ = false;
-  std::uint64_t pingSeq_ = 0;
-  sched::TimerId pingTimer_ = sched::kInvalidTimer;
-
-  // Federation-level StatsQuery merge: fan to every online cluster head,
-  // fold their (already tree-aggregated) snapshots plus our own fed.* view.
-  struct StatsAggregation {
-    net::NodeAddr requester = 0;
-    std::uint64_t requesterReqId = 0;
-    obs::MetricsSnapshot acc;
-    std::uint32_t nodeCount = 0;
-    int outstanding = 0;
-    sched::TimerId timer = sched::kInvalidTimer;
-  };
-  std::unordered_map<std::uint64_t, StatsAggregation> statsAggs_;
-  std::uint64_t nextStatsAggId_ = 1;
 };
 
 }  // namespace scalla::fed

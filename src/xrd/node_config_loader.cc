@@ -75,8 +75,11 @@ std::optional<LoadedNodeConfig> LoadNodeConfig(const std::string& text,
     cfg.role = NodeRole::kProxy;
   } else if (*role == "meta") {
     // The federation tier: serves no data and exports no paths of its
-    // own, so the export/manager requirements below do not apply.
+    // own, so the export/manager requirements below do not apply. Its
+    // selection defaults to load-based (as MetaConfig's does) so cluster
+    // locality weights count; an explicit cms.selection still wins.
     cfg.role = NodeRole::kManager;
+    cfg.selection = cms::SelectCriterion::kLoad;
     out.isMeta = true;
   } else {
     Fail(error, "all.role must be manager|supervisor|server|proxy|meta, got " + *role);

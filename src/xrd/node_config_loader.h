@@ -73,7 +73,8 @@ namespace scalla::xrd {
 struct LoadedNodeConfig {
   NodeConfig node;
   // all.role meta: run a fed::MetaManager instead of a ScallaNode (the
-  // node fields name/addr/cms/selection seed its MetaConfig).
+  // node fields name/addr/cms/selection seed its MetaConfig; selection
+  // defaults to kLoad for this role).
   bool isMeta = false;
   std::string localRoot;  // non-empty => back the server with LocalOss
   net::FabricOptions fabric;  // fabric.* transport tuning

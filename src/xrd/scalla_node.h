@@ -2,18 +2,25 @@
 // modeled as one object with two protocol roles (the paper's systems are
 // "symmetric in that for each xrootd there is a corresponding cmsd").
 //
-// Roles (paper section II-B):
-//   kManager    — a cluster head: accepts subordinate logins, resolves
-//                 client requests, redirects clients downward.
+// Every node holds one Redirector (xrd/redirector.h), the cms core shared
+// with the federation meta-manager: membership, location cache, response
+// queue, resolver, heartbeat, StatsQuery fold and the locate-and-reply
+// paths. What each role adds on top (paper section II-B):
+//   kManager    — a cluster head: admits subordinate logins (sending a
+//                 newcomer to a supervisor when its set is full), fans
+//                 CmsDeath/CmsDrain to supervisors, and, when subscribed
+//                 to a meta-manager, answers its FedQuery floods and sends
+//                 FedHave/FedGone digests upward.
 //   kSupervisor — a manager for its subtree AND a server to its parent:
-//                 answers parent CmsQuery by resolving within its subtree,
-//                 compressing multiple subordinate responses into a single
-//                 "I have it"; redirects clients that reach it further down.
+//                 logs in upward, answers parent CmsQuery by resolving
+//                 within its subtree (compressing multiple subordinate
+//                 responses into a single "I have it"), and forwards
+//                 new-file and gone notices to its parents.
 //   kServer     — a leaf: answers CmsQuery from its storage (oss), serves
-//                 actual file I/O, stages MSS-resident files.
+//                 actual file I/O, stages MSS-resident files. Its
+//                 Redirector has no children and only answers stats.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -21,17 +28,12 @@
 #include <utility>
 #include <vector>
 
-#include "cms/location_cache.h"
-#include "cms/maintenance.h"
-#include "cms/membership.h"
-#include "cms/resolver.h"
-#include "cms/response_queue.h"
-#include "cms/selection.h"
 #include "cms/types.h"
 #include "net/fabric.h"
 #include "obs/metrics.h"
 #include "oss/oss.h"
 #include "sched/executor.h"
+#include "xrd/redirector.h"
 
 namespace scalla::xrd {
 
@@ -109,27 +111,16 @@ class ScallaNode : public net::MessageSink {
   bool LoggedIn() const;
   bool LoggedInTo(net::NodeAddr parent) const;
   const std::vector<net::NodeAddr>& Parents() const { return parents_; }
-  cms::Membership& membership() { return membership_; }
-  cms::LocationCache& cache() { return cache_; }
-  cms::Resolver& resolver() { return resolver_; }
-  cms::FastResponseQueue& respq() { return respq_; }
+  cms::Membership& membership() { return redirector_.membership(); }
+  cms::LocationCache& cache() { return redirector_.cache(); }
+  cms::Resolver& resolver() { return redirector_.resolver(); }
+  cms::FastResponseQueue& respq() { return redirector_.respq(); }
+  cms::MaintenanceDriver& maintenance() { return redirector_.maintenance(); }
   oss::Oss* storage() { return storage_; }
-  net::NodeAddr AddrOfSlot(ServerSlot slot) const;
-  std::optional<ServerSlot> SlotOfAddr(net::NodeAddr addr) const;
-
-  struct Stats {
-    std::uint64_t opensServed = 0;      // leaf opens completed
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t queriesAnswered = 0;  // CmsHave sent
-    std::uint64_t queriesSilent = 0;    // non-responses (rarely-respond)
-    std::uint64_t redirectsIssued = 0;
-    std::uint64_t waitsIssued = 0;
-    std::uint64_t stagesStarted = 0;
-    std::uint64_t creates = 0;
-  };
-  /// Legacy view of the node.* counters (kept for existing tests/benches).
-  Stats GetStats() const;
+  net::NodeAddr AddrOfSlot(ServerSlot slot) const { return redirector_.AddrOfSlot(slot); }
+  std::optional<ServerSlot> SlotOfAddr(net::NodeAddr addr) const {
+    return redirector_.SlotOfAddr(addr);
+  }
 
   /// The node's instrument registry (tests and embedders may add their own
   /// instruments; they ride along in every snapshot).
@@ -139,8 +130,6 @@ class ScallaNode : public net::MessageSink {
   /// resolver / response-queue / maintenance component stats translated to
   /// canonical dotted names ("cache.hits", "resolver.redirects", ...).
   obs::MetricsSnapshot SnapshotMetrics() const;
-
-  cms::MaintenanceDriver& maintenance() { return maintenance_; }
 
   /// Subscribed into the federation meta-manager? (managers with
   /// config.meta only; others always false)
@@ -164,11 +153,18 @@ class ScallaNode : public net::MessageSink {
   void HandleHave(net::NodeAddr from, const proto::CmsHave& m);
   void HandleGone(net::NodeAddr from, const proto::CmsGone& m);
   void HandleLoad(net::NodeAddr from, const proto::CmsLoad& m);
+  /// Supervisor CmsQuery and manager FedQuery alike: resolve within the
+  /// subtree and answer with one Have frame, or stay silent.
+  template <typename Have, typename Query>
+  void AnswerFromSubtree(net::NodeAddr from, const Query& m);
+  /// Sends a Have frame, or the explicit negative `sayNo` asks for, or
+  /// stays silent.
+  template <typename Have>
+  void Answer(net::NodeAddr from, const std::string& path, std::uint32_t hash, bool have,
+              bool pending, bool sayNo);
 
   // liveness / membership administration
-  void HeartbeatTick();
   void HandlePing(net::NodeAddr from, const proto::CmsPing& m);
-  void HandlePong(net::NodeAddr from, const proto::CmsPong& m);
   void HandleDeath(net::NodeAddr from, const proto::CmsDeath& m);
   void HandleDrain(net::NodeAddr from, const proto::CmsDrain& m);
   /// Fans a death/drain notice to every online supervisor subordinate so
@@ -177,7 +173,8 @@ class ScallaNode : public net::MessageSink {
   /// Current load/space numbers a pong or load report should carry.
   std::pair<std::uint32_t, std::uint64_t> CurrentLoad() const;
 
-  // xrd message handlers
+  // xrd handlers: a head routes open/stat/unlink/checksum/prepare to its
+  // Redirector; a leaf answers from storage
   void HandleOpen(net::NodeAddr from, const proto::XrdOpen& m);
   void HandleRead(net::NodeAddr from, const proto::XrdRead& m);
   void HandleReadV(net::NodeAddr from, const proto::XrdReadV& m);
@@ -188,25 +185,13 @@ class ScallaNode : public net::MessageSink {
   void HandleUnlink(net::NodeAddr from, const proto::XrdUnlink& m);
   void HandlePrepare(net::NodeAddr from, const proto::XrdPrepare& m);
 
-  // stats aggregation (tentpole observability protocol)
-  void HandleStatsQuery(net::NodeAddr from, const proto::StatsQuery& m);
-  void HandleStatsReply(net::NodeAddr from, const proto::StatsReply& m);
-  void FinishStatsAggregation(std::uint64_t aggId);
-
   // federation (manager <-> meta-manager)
   void SendFedSubscribe();
   void HandleFedSubscribeResp(net::NodeAddr from, const proto::FedSubscribeResp& m);
-  void HandleFedQuery(net::NodeAddr from, const proto::FedQuery& m);
-  void NotifyMetaHave(const proto::CmsHave& m);
 
-  // role-specific pieces
-  void HeadOpen(net::NodeAddr from, const proto::XrdOpen& m);
-  void LeafOpen(net::NodeAddr from, const proto::XrdOpen& m);
   void SendLogins();
   void SendLoginTo(net::NodeAddr parent);
   bool IsParent(net::NodeAddr addr) const;
-  void SendQueryDown(ServerSet targets, const std::string& path, std::uint32_t hash,
-                     cms::AccessMode mode);
   void NotifyParentHave(const std::string& path, bool pending);
 
   NodeConfig config_;
@@ -214,39 +199,26 @@ class ScallaNode : public net::MessageSink {
   net::Fabric& fabric_;
   oss::Oss* storage_;
 
-  cms::Membership membership_;
-  cms::LocationCache cache_;
-  cms::FastResponseQueue respq_;
-  cms::SelectionPolicy selection_;
-  cms::Resolver resolver_;
-  cms::MaintenanceDriver maintenance_;
-
   // Instruments the hot handlers bump. The registry owns them; the struct
   // caches references so handlers pay one relaxed atomic add per event.
+  // (The Redirector registers node.redirects_issued, node.waits_issued,
+  // node.pings_sent, node.pongs_received and node.stats_queries here too.)
   obs::MetricsRegistry metrics_;
+  Redirector redirector_;
   struct NodeMetrics {
     obs::Counter& opensServed;
     obs::Counter& reads;
     obs::Counter& writes;
     obs::Counter& queriesAnswered;
     obs::Counter& queriesSilent;
-    obs::Counter& redirectsIssued;
-    obs::Counter& waitsIssued;
     obs::Counter& stagesStarted;
     obs::Counter& creates;
     obs::Counter& loginsAccepted;  // subordinate logins this head admitted
     obs::Counter& loginsSent;      // login attempts toward parents
     obs::Counter& refreshes;       // opens carrying the refresh flag
-    obs::Counter& statsQueries;    // StatsQuery frames served
-    obs::Counter& pingsSent;       // heartbeat probes sent to subordinates
-    obs::Counter& pongsReceived;   // heartbeat answers received
     explicit NodeMetrics(obs::MetricsRegistry& r);
   };
   NodeMetrics nm_;
-
-  // slot <-> fabric address maps for subordinates
-  std::array<net::NodeAddr, kMaxServersPerSet> slotAddr_{};
-  std::unordered_map<net::NodeAddr, ServerSlot> addrSlot_;
 
   bool started_ = false;
   std::vector<net::NodeAddr> parents_;  // config_.parent + extraParents
@@ -262,27 +234,12 @@ class ScallaNode : public net::MessageSink {
 
   sched::TimerId loginTimer_ = sched::kInvalidTimer;
   sched::TimerId loadTimer_ = sched::kInvalidTimer;
-  sched::TimerId pingTimer_ = sched::kInvalidTimer;
   sched::TimerId fedTimer_ = sched::kInvalidTimer;  // FedSubscribe retry
   std::int32_t fedClusterId_ = -1;  // slot at the meta (-1 = not subscribed)
-  std::uint64_t pingSeq_ = 0;
   // Last load/space numbers this node reported upward; pongs echo them so
   // parent selection metrics stay fresh between CmsLoad reports.
   std::uint32_t lastLoad_ = 0;
   std::uint64_t lastFree_ = 0;
-
-  // One in-flight subtree aggregation per received StatsQuery. The key is
-  // the reqId used on this node's *downward* queries; replies echo it.
-  struct StatsAggregation {
-    net::NodeAddr requester = 0;
-    std::uint64_t requesterReqId = 0;
-    obs::MetricsSnapshot acc;
-    std::uint32_t nodeCount = 0;
-    int outstanding = 0;
-    sched::TimerId timer = sched::kInvalidTimer;
-  };
-  std::unordered_map<std::uint64_t, StatsAggregation> statsAggs_;
-  std::uint64_t nextStatsAggId_ = 1;
 };
 
 }  // namespace scalla::xrd

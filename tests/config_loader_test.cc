@@ -351,6 +351,23 @@ TEST(NodeConfigLoaderTest, MetaRoleNeedsNoExportsOrManager) {
   EXPECT_EQ(loaded->node.addr, 1u);
 }
 
+TEST(NodeConfigLoaderTest, MetaRoleDefaultsToLoadSelection) {
+  // Locality weights only steer a load-based selection, so a meta that
+  // names no criterion must not fall back to the node default.
+  std::string error;
+  const auto loaded = LoadNodeConfig("all.role meta\nall.addr 1\n", &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->node.selection, cms::SelectCriterion::kLoad);
+}
+
+TEST(NodeConfigLoaderTest, MetaRoleKeepsExplicitSelection) {
+  std::string error;
+  const auto loaded =
+      LoadNodeConfig("all.role meta\nall.addr 1\ncms.selection roundrobin\n", &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->node.selection, cms::SelectCriterion::kRoundRobin);
+}
+
 TEST(NodeConfigLoaderTest, RejectsBadFederationConfigs) {
   std::string error;
   // fed.* is for cluster heads, not servers (and not the meta itself).

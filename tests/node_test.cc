@@ -269,9 +269,9 @@ TEST_F(NodeTest, StatsCountersTrackActivity) {
                             engine_.Now() + std::chrono::seconds(10));
   ASSERT_TRUE(out.has_value());
 
-  EXPECT_EQ(leaf.GetStats().queriesAnswered, 1u);
-  EXPECT_EQ(leaf.GetStats().opensServed, 1u);
-  EXPECT_GE(mgr.GetStats().redirectsIssued, 1u);
+  EXPECT_EQ(leaf.SnapshotMetrics().Counter("node.queries_answered"), 1u);
+  EXPECT_EQ(leaf.SnapshotMetrics().Counter("node.opens_served"), 1u);
+  EXPECT_GE(mgr.SnapshotMetrics().Counter("node.redirects_issued"), 1u);
 }
 
 }  // namespace

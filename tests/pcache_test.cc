@@ -270,7 +270,7 @@ TEST(ProxySimTest, WarmHitsBypassClusterEntirely) {
   EXPECT_EQ(opensAfterCold, 1u);
   std::uint64_t leafReadsAfterCold = 0;
   for (std::size_t i = 0; i < cluster.ServerCount(); ++i) {
-    leafReadsAfterCold += cluster.server(i).GetStats().reads;
+    leafReadsAfterCold += cluster.server(i).SnapshotMetrics().Counter("node.reads");
   }
 
   // Warm pass: same path, fresh client handle. Every byte must come from
@@ -284,7 +284,7 @@ TEST(ProxySimTest, WarmHitsBypassClusterEntirely) {
   EXPECT_GE(ProxyCounter(cluster, "pcache.opens_local"), 1u);
   std::uint64_t leafReadsAfterWarm = 0;
   for (std::size_t i = 0; i < cluster.ServerCount(); ++i) {
-    leafReadsAfterWarm += cluster.server(i).GetStats().reads;
+    leafReadsAfterWarm += cluster.server(i).SnapshotMetrics().Counter("node.reads");
   }
   EXPECT_EQ(leafReadsAfterWarm, leafReadsAfterCold);
   EXPECT_GT(cluster.proxy()->cache().GetStats().hits, 0u);
@@ -380,7 +380,7 @@ TEST(ProxySimTest, StagedMssFileServedFromCacheWithoutRestage) {
   const auto cold = cluster.ReadAll(c, "/store/tape");
   ASSERT_TRUE(cold.ok()) << cold.error().message;
   EXPECT_EQ(cold.value().size(), 256u);
-  EXPECT_EQ(cluster.server(0).GetStats().stagesStarted, 1u);
+  EXPECT_EQ(cluster.server(0).SnapshotMetrics().Counter("node.stages_started"), 1u);
   EXPECT_EQ(cluster.mssStorage(0)->StagingCount(), 0u);
 
   const std::uint64_t fetches = ProxyCounter(cluster, "pcache.origin_fetches");
@@ -388,7 +388,7 @@ TEST(ProxySimTest, StagedMssFileServedFromCacheWithoutRestage) {
   const auto warm = cluster.ReadAll(c, "/store/tape");
   ASSERT_TRUE(warm.ok()) << warm.error().message;
   EXPECT_EQ(warm.value(), cold.value());
-  EXPECT_EQ(cluster.server(0).GetStats().stagesStarted, 1u);
+  EXPECT_EQ(cluster.server(0).SnapshotMetrics().Counter("node.stages_started"), 1u);
   EXPECT_EQ(ProxyCounter(cluster, "pcache.origin_fetches"), fetches);
 }
 
