@@ -397,12 +397,8 @@ LocationCache::FetchResult LocationCache::Lookup(std::string_view path, ServerSe
   std::uint32_t index = FindLocked(path, hash);
   if (index == kNullCacheIndex) {
     if (policy == AddPolicy::kFindOnly) return result;
-    index = AllocateSlotLocked();
-    if (index == kNullCacheIndex || !InsertLocked(index, path, hash, vm)) {
-      if (index != kNullCacheIndex) FreeSlotLocked(index);
-      ++stats_.createFailures;  // byte budget exhausted, nothing evictable
-      return result;
-    }
+    index = CreateLocked(path, hash, vm);
+    if (index == kNullCacheIndex) return result;
     result.created = true;
   } else {
     ++stats_.hits;
@@ -419,6 +415,17 @@ LocationCache::FetchResult LocationCache::Lookup(std::string_view path, ServerSe
   return result;
 }
 
+std::uint32_t LocationCache::CreateLocked(std::string_view path, std::uint32_t hash,
+                                          ServerSet vm) {
+  const std::uint32_t index = AllocateSlotLocked();
+  if (index == kNullCacheIndex || !InsertLocked(index, path, hash, vm)) {
+    if (index != kNullCacheIndex) FreeSlotLocked(index);
+    ++stats_.createFailures;  // byte budget exhausted, nothing evictable
+    return kNullCacheIndex;
+  }
+  return index;
+}
+
 bool LocationCache::BeginQuery(const LocRef& ref, ServerSet queried, TimePoint deadline) {
   std::lock_guard lock(mu_);
   if (!ValidLocked(ref)) return false;
@@ -431,12 +438,21 @@ bool LocationCache::BeginQuery(const LocRef& ref, ServerSet queried, TimePoint d
 LocationCache::UpdateResult LocationCache::AddLocation(std::string_view path,
                                                        std::uint32_t hash,
                                                        ServerSlot server, bool pending,
-                                                       bool allowWrite) {
+                                                       bool allowWrite,
+                                                       ServerSet createFor) {
   UpdateResult result;
   if (path.empty()) return result;
   std::lock_guard lock(mu_);
-  const std::uint32_t index = FindLocked(path, hash);
-  if (index == kNullCacheIndex) return result;  // expired meanwhile; waiters retry
+  std::uint32_t index = FindLocked(path, hash);
+  if (index == kNullCacheIndex) {
+    // Expired meanwhile (waiters retry), or never asked about. A new-file
+    // notice creates the entry, keyed by the name's own hash only: an
+    // entry filed under a wrong one could never be found.
+    if (createFor.empty() || hash != HashOf(path)) return result;
+    index = CreateLocked(path, hash, createFor);
+    if (index == kNullCacheIndex) return result;
+    At(index)->deadline = TimePoint{};  // nothing was flooded for it
+  }
 
   Record* rec = At(index);
   result.found = true;

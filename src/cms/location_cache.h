@@ -119,6 +119,13 @@ class LocationCache {
   /// cleared from the object, mirroring the paper's update method. The
   /// precomputed `hash` is passed along with the name, eliminating
   /// re-hashing on the response path (section III-B1).
+  ///
+  /// A response for a path with no entry is dropped (found=false), unless
+  /// `createFor` is non-empty: then the entry is created through the same
+  /// create path as a kCreate look-up (so cms.cachebytes bounds it), with
+  /// V_q = `createFor` minus the responder and no query in flight. That is
+  /// how an unsolicited new-file Have lands. A create failure, or a `hash`
+  /// that is not the name's own, drops the response as before.
   struct UpdateResult {
     bool found = false;
     LocInfo info;
@@ -126,7 +133,8 @@ class LocationCache {
     RespSlotRef releaseWrite;
   };
   UpdateResult AddLocation(std::string_view path, std::uint32_t hash, ServerSlot server,
-                           bool pending, bool allowWrite);
+                           bool pending, bool allowWrite,
+                           ServerSet createFor = ServerSet::None());
 
   /// Clears a server from V_h/V_p for a path (server reported the file
   /// gone, or an I/O error was confirmed). When the last holder goes and
@@ -213,6 +221,9 @@ class LocationCache {
   std::size_t EmergencyEvictLocked();
   bool InsertLocked(std::uint32_t index, std::string_view path, std::uint32_t hash,
                     ServerSet vm);
+  // Allocates and inserts a new entry; kNullCacheIndex (and a counted
+  // create failure) when the byte budget refuses it.
+  std::uint32_t CreateLocked(std::string_view path, std::uint32_t hash, ServerSet vm);
   // Index-based on purpose: allocating extension slots may move the arena,
   // so the record is re-resolved from its slot index after each allocation.
   bool StoreKeyLocked(std::uint32_t recIndex, std::string_view path);

@@ -218,8 +218,9 @@ void Resolver::Locate(const std::string& path, const LocateOptions& options,
 }
 
 void Resolver::OnHave(const std::string& path, std::uint32_t hash, ServerSlot from,
-                      bool pending, bool allowWrite) {
-  const auto update = cache_.AddLocation(path, hash, from, pending, allowWrite);
+                      bool pending, bool allowWrite, bool newfile) {
+  const ServerSet createFor = newfile ? membership_.EligibleFor(path) : ServerSet::None();
+  const auto update = cache_.AddLocation(path, hash, from, pending, allowWrite, createFor);
   if (!update.found) return;  // entry expired; parked clients will retry
   // A suspended/draining holder still updates the cache, but must not be
   // handed to parked clients; the sweep retries them elsewhere.

@@ -58,9 +58,12 @@ class Resolver {
 
   /// A subordinate responded that it has (or is staging) the file. The
   /// subordinate's precomputed hash rides along with the reply so this
-  /// path never re-hashes the name (section III-B1).
+  /// path never re-hashes the name (section III-B1). A `newfile` notice
+  /// (a creation beneath the subordinate, sent unasked) also creates the
+  /// cache entry when the path has none, so the next look-up redirects
+  /// without a flood; any other Have for an uncached path is dropped.
   void OnHave(const std::string& path, std::uint32_t hash, ServerSlot from, bool pending,
-              bool allowWrite);
+              bool allowWrite, bool newfile = false);
 
   /// A subordinate reported the file gone (refresh traffic / unlink).
   void OnGone(const std::string& path, ServerSlot from);

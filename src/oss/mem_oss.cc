@@ -9,18 +9,12 @@ FileState MemOss::StateOf(const std::string& path) {
   return files_.count(path) != 0 ? FileState::kOnline : FileState::kAbsent;
 }
 
-std::uint64_t MemOss::TotalBytesLocked() const {
-  std::uint64_t total = 0;
-  for (const auto& [_, f] : files_) total += f.data.size();
-  return total;
-}
-
 Result<void> MemOss::Create(const std::string& path) {
   std::lock_guard lock(mu_);
   if (files_.count(path) != 0) {
     return Result<void>::Err(proto::XrdErr::kExists, "create '" + path + "': exists");
   }
-  if (capacity_ != 0 && TotalBytesLocked() >= capacity_) {
+  if (capacity_ != 0 && total_ >= capacity_) {
     return Result<void>::Err(proto::XrdErr::kNoSpace, "create '" + path + "': no space");
   }
   files_[path] = File{std::string(), clock_.Now()};
@@ -35,14 +29,21 @@ Result<void> MemOss::Write(const std::string& path, std::uint64_t offset,
     return Result<void>::Err(proto::XrdErr::kNotFound, "write '" + path + "': not found");
   }
   File& f = it->second;
-  if (offset + data.size() > f.data.size()) {
-    const std::uint64_t growth = offset + data.size() - f.data.size();
-    if (capacity_ != 0 && TotalBytesLocked() + growth > capacity_) {
+  const std::uint64_t size = f.data.size();
+  const std::uint64_t end = offset + data.size();
+  if (end > size) {
+    const std::uint64_t growth = end - size;
+    if (capacity_ != 0 && total_ + growth > capacity_) {
       return Result<void>::Err(proto::XrdErr::kNoSpace, "write '" + path + "': no space");
     }
-    f.data.resize(offset + data.size(), '\0');
+    // Grow by appending: only a sparse gap before `offset` is zero-filled,
+    // and `data` replaces the whole tail from `offset` on.
+    if (offset > size) f.data.append(static_cast<std::size_t>(offset - size), '\0');
+    f.data.replace(static_cast<std::size_t>(offset), std::string::npos, data);
+    total_ += growth;
+  } else {
+    std::copy(data.begin(), data.end(), f.data.begin() + static_cast<std::ptrdiff_t>(offset));
   }
-  std::copy(data.begin(), data.end(), f.data.begin() + static_cast<std::ptrdiff_t>(offset));
   f.mtime = clock_.Now();
   return Result<void>::Ok();
 }
@@ -70,9 +71,12 @@ std::optional<StatInfo> MemOss::Stat(const std::string& path) {
 
 Result<void> MemOss::Unlink(const std::string& path) {
   std::lock_guard lock(mu_);
-  if (files_.erase(path) == 0) {
+  const auto it = files_.find(path);
+  if (it == files_.end()) {
     return Result<void>::Err(proto::XrdErr::kNotFound, "unlink '" + path + "': not found");
   }
+  total_ -= it->second.data.size();
+  files_.erase(it);
   return Result<void>::Ok();
 }
 
@@ -88,7 +92,13 @@ std::vector<std::string> MemOss::List(const std::string& prefix) {
 
 void MemOss::Put(const std::string& path, std::string data) {
   std::lock_guard lock(mu_);
-  files_[path] = File{std::move(data), clock_.Now()};
+  PutLocked(path, std::move(data));
+}
+
+void MemOss::PutLocked(const std::string& path, std::string data) {
+  File& f = files_[path];
+  total_ = total_ - f.data.size() + data.size();
+  f = File{std::move(data), clock_.Now()};
 }
 
 std::size_t MemOss::FileCount() const {
@@ -98,9 +108,7 @@ std::size_t MemOss::FileCount() const {
 
 std::uint64_t MemOss::TotalBytes() const {
   std::lock_guard lock(mu_);
-  std::uint64_t total = 0;
-  for (const auto& [_, f] : files_) total += f.data.size();
-  return total;
+  return total_;
 }
 
 }  // namespace scalla::oss

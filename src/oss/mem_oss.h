@@ -34,6 +34,7 @@ class MemOss : public Oss {
   std::optional<std::uint64_t> UsedBytes() override { return TotalBytes(); }
 
   std::size_t FileCount() const;
+  /// Bytes stored over all files: a running total, O(1).
   std::uint64_t TotalBytes() const;
 
  protected:
@@ -42,12 +43,14 @@ class MemOss : public Oss {
     TimePoint mtime{};
   };
 
-  std::uint64_t TotalBytesLocked() const;
+  /// Replaces (or adds) a file, keeping the running total. Requires mu_.
+  void PutLocked(const std::string& path, std::string data);
 
   util::Clock& clock_;
   std::uint64_t capacity_ = 0;
   mutable std::mutex mu_;
   std::map<std::string, File> files_;  // ordered: prefix listing is a range scan
+  std::uint64_t total_ = 0;            // sum of files_' sizes, under mu_
 };
 
 }  // namespace scalla::oss

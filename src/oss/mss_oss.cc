@@ -13,7 +13,7 @@ void MssOss::SettleLocked() {
     if (it->second <= now) {
       const auto cat = catalog_.find(it->first);
       const std::uint64_t size = cat != catalog_.end() ? cat->second : 0;
-      files_[it->first] = File{std::string(size, 'M'), now};
+      PutLocked(it->first, std::string(size, 'M'));
       it = staging_.erase(it);
     } else {
       ++it;

@@ -20,7 +20,7 @@ bool SingleFlight::TryOwn(const std::string& path, std::uint64_t index) {
 }
 
 void SingleFlight::Complete(const std::string& path, std::uint64_t index,
-                            proto::XrdErr err, const std::string& data) {
+                            proto::XrdErr err, const Block& data) {
   std::vector<Waiter> waiters;
   {
     std::lock_guard lock(mu_);

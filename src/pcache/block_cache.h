@@ -3,6 +3,12 @@
 // table whose DRAM tier, with the disk tier off, is the plain strict-LRU
 // block cache with high/low watermark eviction and pinning.
 //
+// A cached block travels as a `Block`: an immutable, ref-counted buffer.
+// The cache, SingleFlight waiters and pending proxy reads share one copy
+// of the bytes; a reader copies out only the segment it needs (the
+// djbdns cache_get idiom: a hit hands out a reference into the cache's
+// own storage, not a copy of it).
+//
 // SingleFlight coalesces concurrent misses on the same block: the first
 // requester becomes the fetch owner, later requesters queue behind it and
 // share the one origin fetch.
@@ -11,9 +17,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "proto/messages.h"
@@ -26,6 +34,15 @@ struct BlockCacheConfig {
   double highWatermark = 0.95;               // start evicting above this
   double lowWatermark = 0.80;                // evict down to this
 };
+
+/// The bytes of one cached block. Never mutated once built: a re-insert of
+/// the same (path, index) makes a new Block, and a holder of the old one
+/// keeps seeing the old bytes.
+using Block = std::shared_ptr<const std::string>;
+
+inline Block MakeBlock(std::string data) {
+  return std::make_shared<const std::string>(std::move(data));
+}
 
 /// Identifies one cached block of one file.
 struct BlockKey {
@@ -55,10 +72,11 @@ struct EvictedBlock {
 /// Deduplicates concurrent fetches of the same block. The first Begin()
 /// for a key returns true (the caller owns the origin fetch); later calls
 /// enqueue their waiter and return false. Complete() delivers the outcome
-/// to every queued waiter.
+/// to every queued waiter, all sharing the one Block.
 class SingleFlight {
  public:
-  using Waiter = std::function<void(proto::XrdErr, const std::string&)>;
+  /// `data` is null when the fetch failed.
+  using Waiter = std::function<void(proto::XrdErr, const Block& data)>;
 
   /// Registers interest in (path, index). Returns true if the caller is
   /// now the fetch owner; false if a fetch is already in flight (the
@@ -71,7 +89,7 @@ class SingleFlight {
 
   /// Resolves the key, invoking all queued waiters (outside the lock).
   void Complete(const std::string& path, std::uint64_t index, proto::XrdErr err,
-                const std::string& data);
+                const Block& data);
 
   /// How many Begin() calls piggybacked on an existing fetch.
   std::uint64_t Coalesced() const { return coalesced_.load(std::memory_order_relaxed); }

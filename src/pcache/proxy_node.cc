@@ -314,16 +314,16 @@ void ProxyCacheNode::GatherRange(const std::string& path, std::uint64_t offset,
   bool missed = false;
   for (std::uint64_t idx = first; idx <= last; ++idx) {
     TieredBlockCache::LookupResult hit = cache_.LookupDetailed(path, idx);
-    if (hit.data.has_value()) {
+    if (hit.data != nullptr) {
       bytesFromCache_.Inc(hit.data->size());
       if (hit.tier == CacheTier::kDisk) bytesFromDisk_.Inc(hit.data->size());
-      range.blocks[static_cast<std::size_t>(idx - first)] = std::move(*hit.data);
+      range.blocks[static_cast<std::size_t>(idx - first)] = std::move(hit.data);
       --range.outstanding;
       continue;
     }
     missed = true;
     const bool owner = singleFlight_.Begin(
-        path, idx, [this, rangeId, idx](proto::XrdErr err, const std::string& data) {
+        path, idx, [this, rangeId, idx](proto::XrdErr err, const Block& data) {
           OnBlockReady(rangeId, idx, err, data);
         });
     if (owner) StartFetch(path, idx, /*demand=*/true);
@@ -333,7 +333,7 @@ void ProxyCacheNode::GatherRange(const std::string& path, std::uint64_t offset,
 }
 
 void ProxyCacheNode::OnBlockReady(std::uint64_t rangeId, std::uint64_t blockIdx,
-                                  proto::XrdErr err, const std::string& data) {
+                                  proto::XrdErr err, const Block& data) {
   const auto it = ranges_.find(rangeId);
   if (it == ranges_.end()) return;
   PendingRange& range = it->second;
@@ -352,8 +352,9 @@ void ProxyCacheNode::FinishRange(std::uint64_t rangeId) {
   const std::uint32_t bs = cache_.BlockSize();
   std::string out;
   out.reserve(static_cast<std::size_t>(range.end - range.offset));
+  // The one copy a hit makes: the requested segment of each shared block.
   for (std::size_t i = 0; i < range.blocks.size(); ++i) {
-    const std::string& block = range.blocks[i];
+    const std::string& block = *range.blocks[i];
     const std::uint64_t blockStart = (range.firstBlock + i) * bs;
     const std::uint64_t segStart = std::max(range.offset, blockStart);
     const std::uint64_t segEnd = std::min(range.end, blockStart + block.size());
@@ -406,14 +407,17 @@ void ProxyCacheNode::OnFetchDone(const std::string& path, std::uint64_t index,
   bytesFromOrigin_.Inc(data.size());
   const bool fullBlock = data.size() == bs;
   if (!fullBlock) LearnSize(path, index * bs + data.size());
-  if (!data.empty()) {
+  // One Block for the cache and every waiter: the origin's bytes are not
+  // copied again.
+  const Block block = MakeBlock(std::move(data));
+  if (!block->empty()) {
     // Pin across Complete so the insert's own eviction sweep (and any
     // insert a waiter triggers) cannot victimize this block first.
-    cache_.Insert(path, index, data, /*pinned=*/true);
-    singleFlight_.Complete(path, index, proto::XrdErr::kNone, data);
+    cache_.Insert(path, index, block, /*pinned=*/true);
+    singleFlight_.Complete(path, index, proto::XrdErr::kNone, block);
     cache_.Unpin(path, index);
   } else {
-    singleFlight_.Complete(path, index, proto::XrdErr::kNone, data);
+    singleFlight_.Complete(path, index, proto::XrdErr::kNone, block);
   }
   if (demand && fullBlock && config_.readAhead > 0) {
     StartReadAhead(path, index + 1);

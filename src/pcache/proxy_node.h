@@ -96,12 +96,14 @@ class ProxyCacheNode : public net::MessageSink {
   };
 
   /// One client read (or one readv segment) being assembled from blocks.
+  /// It holds references to the blocks it spans, shared with the cache and
+  /// with other reads; only the requested bytes are copied, into the reply.
   struct PendingRange {
     std::string path;
     std::uint64_t offset = 0;
     std::uint64_t end = 0;          // clamped exclusive end
     std::uint64_t firstBlock = 0;
-    std::vector<std::string> blocks;
+    std::vector<Block> blocks;
     int outstanding = 0;
     proto::XrdErr err = proto::XrdErr::kNone;
     std::function<void(proto::XrdErr, std::string)> done;
@@ -130,7 +132,7 @@ class ProxyCacheNode : public net::MessageSink {
   void GatherRange(const std::string& path, std::uint64_t offset, std::uint32_t length,
                    std::function<void(proto::XrdErr, std::string)> done);
   void OnBlockReady(std::uint64_t rangeId, std::uint64_t blockIdx, proto::XrdErr err,
-                    const std::string& data);
+                    const Block& data);
   void FinishRange(std::uint64_t rangeId);
   /// Fetch owner path: issues (or defers until origin-open) the one origin
   /// read for a block. demand=false marks read-ahead (no further cascade).

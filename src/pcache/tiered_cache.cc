@@ -90,7 +90,7 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
   /// its own, because admission remembers a first-touch block while it is
   /// also on disk.
   struct Record {
-    std::string data;  // the bytes, while kDram or kSpilling
+    Block data;  // the bytes, while kDram or kSpilling
     FileMap::value_type* file = nullptr;  // map nodes never move
     std::uint64_t index = 0;
     std::uint64_t size = 0;
@@ -224,7 +224,7 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
       blocks[to].fetch_add(1, std::memory_order_relaxed);
       ++(to == kDram ? life.dramBlocks : life.diskBlocks);
     }
-    if (to != kDram && to != kSpilling) std::string().swap(r.data);
+    if (to != kDram && to != kSpilling) r.data.reset();
   }
 
   /// Takes record i out of its tier, unlinking its backing file if on disk.
@@ -261,11 +261,11 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
   }
 
   /// Makes `data` record i's DRAM copy, replacing any copy in either tier.
-  void PutDram(Shard& s, std::uint32_t i, std::string data, bool pin) {
+  void PutDram(Shard& s, std::uint32_t i, Block data, bool pin) {
     Drop(s, i);
     Record& r = s.arena[i];
     r.data = std::move(data);
-    r.size = r.data.size();
+    r.size = r.data->size();
     if (pin) AddPins(r, 1);
     Place(s, i, kDram);
     Count(kDramInserts);
@@ -326,7 +326,7 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
       Count(kDroppedSpills);
       return;
     }
-    if (DiskWrite(DiskBlockPath(key.path, key.index), s.arena[i].data)) {
+    if (DiskWrite(DiskBlockPath(key.path, key.index), *s.arena[i].data)) {
       Place(s, i, kDisk);
       Count(kSpills);
       return;
@@ -336,9 +336,10 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
     ReleaseIfIdle(s, i);
   }
 
-  /// A disk hit earning its DRAM slot. Applies only if the record has not
-  /// moved since the lookup read `data` from disk; its pins stay with it.
-  void Promote(const BlockKey& key, std::uint64_t moved, std::string data) {
+  /// A disk hit earning its DRAM slot: installs the Block the lookup
+  /// returned. Applies only if the record has not moved since the lookup
+  /// read `data` from disk; its pins stay with it.
+  void Promote(const BlockKey& key, std::uint64_t moved, Block data) {
     Shard& s = ShardOf(key.path);
     std::lock_guard lock(s.mu);
     const std::uint32_t i = s.Find(key.path, key.index);
@@ -387,7 +388,8 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
       }
       if (v == kShards) break;  // everything left is pinned
       Shard& s = shards[v];
-      EvictedBlock victim;
+      BlockKey victim;
+      Block victimData;
       std::uint64_t moved = 0;
       bool taken = false;
       {
@@ -398,12 +400,12 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
                 r.stamp[k] == cand[v].second;
         if (taken && t == kDram) {
           Count(kDramEvictions);
-          victim.key = BlockKey{r.file->first, r.index};
+          victim = BlockKey{r.file->first, r.index};
           if (DiskEnabled()) {
             Place(s, i, kSpilling);
             moved = r.moved;
           } else {
-            victim.data = std::move(r.data);
+            victimData = std::move(r.data);
             Place(s, i, kGhost);
             ReleaseIfIdle(s, i);
           }
@@ -419,11 +421,11 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
       }
       if (!taken || t != kDram) continue;
       if (!DiskEnabled()) {
-        if (evictionSink) evictionSink(std::move(victim));
+        if (evictionSink) evictionSink(EvictedBlock{std::move(victim), *victimData});
       } else if (asyncMode) {
-        RunTierOp([key = std::move(victim.key), moved](Impl& impl) { impl.Spill(key, moved); });
+        RunTierOp([key = std::move(victim), moved](Impl& impl) { impl.Spill(key, moved); });
       } else {
-        Spill(victim.key, moved);
+        Spill(victim, moved);
         SweepLocked(kDisk);
       }
     }
@@ -467,7 +469,9 @@ bool TieredBlockCache::DiskEnabled() const { return impl_->DiskEnabled(); }
 
 std::optional<std::string> TieredBlockCache::Lookup(const std::string& path,
                                                     std::uint64_t index) {
-  return LookupDetailed(path, index).data;
+  const Block data = LookupDetailed(path, index).data;
+  if (data == nullptr) return std::nullopt;
+  return *data;
 }
 
 TieredBlockCache::LookupResult TieredBlockCache::LookupDetailed(
@@ -487,7 +491,7 @@ TieredBlockCache::LookupResult TieredBlockCache::LookupDetailed(
     bool torn = false;
     if (i != kNil && s.arena[i].where == kDram) {
       impl.Touch(s, i);
-      res.data = s.arena[i].data;
+      res.data = s.arena[i].data;  // a reference-count bump, not a copy
       res.tier = CacheTier::kDram;
     } else if (i != kNil && s.arena[i].where == kDisk) {
       Impl::Record& r = s.arena[i];
@@ -496,7 +500,7 @@ TieredBlockCache::LookupResult TieredBlockCache::LookupDetailed(
       torn = !read.ok() || read.value().size() != r.size;
       if (!torn) {
         impl.Touch(s, i);
-        res.data = std::move(read).value();
+        res.data = MakeBlock(std::move(read).value());
         res.tier = CacheTier::kDisk;
         if (r.pins == 0) promote = r.moved;  // pinned blocks stay put
       }
@@ -505,7 +509,7 @@ TieredBlockCache::LookupResult TieredBlockCache::LookupDetailed(
       FileLifecycle& life = f->second.life;
       life.lastAccess = impl.clock->Now();
       ++life.lookups;
-      if (res.data.has_value()) ++life.reuses;
+      if (res.data != nullptr) ++life.reuses;
     }
     if (torn) {
       // Torn or missing backing file: drop the block, report a miss (the
@@ -519,7 +523,7 @@ TieredBlockCache::LookupResult TieredBlockCache::LookupDetailed(
              : res.tier == CacheTier::kDisk ? kDiskHits
                                             : kMisses);
   if (promote != 0) {
-    impl.RunTierOp([key = BlockKey{path, index}, promote, data = *res.data](Impl& i) mutable {
+    impl.RunTierOp([key = BlockKey{path, index}, promote, data = res.data](Impl& i) mutable {
       i.Promote(key, promote, std::move(data));
     });
   }
@@ -535,6 +539,11 @@ bool TieredBlockCache::Contains(const std::string& path, std::uint64_t index) co
 
 void TieredBlockCache::Insert(const std::string& path, std::uint64_t index,
                               std::string data, bool pinned) {
+  Insert(path, index, MakeBlock(std::move(data)), pinned);
+}
+
+void TieredBlockCache::Insert(const std::string& path, std::uint64_t index,
+                              Block data, bool pinned) {
   Impl& impl = *impl_;
   impl.Count(kInserts);
   Impl::Shard& s = impl.ShardOf(path);
@@ -559,8 +568,8 @@ void TieredBlockCache::Insert(const std::string& path, std::uint64_t index,
       // First touch: route to the disk tier and remember the key, so the
       // next insert of this block proves reuse. Scans flow through disk.
       impl.Count(kAdmitsDisk);
-      if (impl.DiskWrite(DiskBlockPath(path, index), data)) {
-        r.size = data.size();
+      if (impl.DiskWrite(DiskBlockPath(path, index), *data)) {
+        r.size = data->size();
         if (pinned) impl.AddPins(r, 1);
         impl.Place(s, i, kDisk);
         impl.SetGhost(s, i, true);

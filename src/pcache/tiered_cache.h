@@ -27,6 +27,19 @@
 // serves all three: each shard offers its oldest evictable record and the
 // sweep takes the smallest stamp, so eviction order is globally LRU.
 //
+// Blocks are handed out, not copied. A record in DRAM (or spilling) owns
+// its bytes as an immutable ref-counted `Block` (block_cache.h); a DRAM
+// hit returns that Block, which costs one reference-count bump under the
+// shard lock. A disk hit wraps the bytes it read in a Block once, and the
+// promotion it queues installs that same Block. A Block never changes
+// after it is built: a re-insert makes a new one, so a caller holding the
+// old Block keeps reading the old bytes, and a purge, a spill, a disk
+// eviction or the cache's destruction only drops the cache's reference.
+// DRAM accounting counts the Blocks the cache owns. A Block that a pending
+// read still holds after the cache let go of it lives outside that count;
+// it is bounded by the reads in flight (each holds at most the blocks its
+// range spans: 64 reads of one 64 KiB block in perfbench's proxy_zipf).
+//
 // With `asyncTierOps` set (the proxy's setting), spill and promotion are
 // posted to the given executor and applied on a later turn, by a task
 // holding a weak reference to the cache internals; a task whose record
@@ -117,8 +130,10 @@ struct FileLifecycle {
 
 class TieredBlockCache {
  public:
+  using Block = pcache::Block;
+
   struct LookupResult {
-    std::optional<std::string> data;
+    Block data;                         // null on a miss
     CacheTier tier = CacheTier::kNone;  // which tier answered (kNone = miss)
   };
 
@@ -136,17 +151,24 @@ class TieredBlockCache {
   std::uint32_t BlockSize() const;
   bool DiskEnabled() const;
 
-  /// DRAM, then disk. A disk hit returns the bytes and schedules (or
-  /// applies) promotion to DRAM. Both outcomes count toward stats.
-  std::optional<std::string> Lookup(const std::string& path, std::uint64_t index);
+  /// DRAM, then disk. A DRAM hit returns the record's own Block; a disk
+  /// hit returns the bytes it read as a new Block and schedules (or
+  /// applies) promotion of that Block to DRAM. Both outcomes count toward
+  /// stats.
   LookupResult LookupDetailed(const std::string& path, std::uint64_t index);
+  /// LookupDetailed as a copy of the bytes (tests and tools).
+  std::optional<std::string> Lookup(const std::string& path, std::uint64_t index);
 
   /// Recency- and stats-neutral presence probe across both tiers.
   bool Contains(const std::string& path, std::uint64_t index) const;
 
   /// Admission-controlled store: DRAM if the block is already DRAM-resident
   /// or proves reuse via the ghost list, else the disk tier. With the disk
-  /// tier disabled, every insert replaces or adds a DRAM block.
+  /// tier disabled, every insert replaces or adds a DRAM block. A DRAM
+  /// admission keeps `data` itself, so later hits share it.
+  void Insert(const std::string& path, std::uint64_t index, Block data,
+              bool pinned = false);
+  /// Moves `data` into a new Block and inserts that.
   void Insert(const std::string& path, std::uint64_t index, std::string data,
               bool pinned = false);
 

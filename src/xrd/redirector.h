@@ -119,11 +119,14 @@ class Redirector {
   void OnPeerDown(net::NodeAddr peer);
   void OnPong(net::NodeAddr from, const proto::CmsPong& m);
   /// Have/Gone from a child (CmsHave or FedHave); false when `from` is not
-  /// a child, in which case nothing was recorded.
+  /// a child, in which case nothing was recorded. A `newfile` Have caches
+  /// a path nobody asked about yet (bounded by cms.cachebytes).
   template <typename Have>
   bool OnHave(net::NodeAddr from, const Have& m) {
     const auto slot = SlotOfAddr(from);
-    if (slot.has_value()) resolver_.OnHave(m.path, m.hash, *slot, m.pending, m.allowWrite);
+    if (slot.has_value()) {
+      resolver_.OnHave(m.path, m.hash, *slot, m.pending, m.allowWrite, m.newfile);
+    }
     return slot.has_value();
   }
   bool OnGone(net::NodeAddr from, const std::string& path);

@@ -85,6 +85,29 @@ TEST_F(LocationCacheTest, AddLocationForUnknownPathIgnored) {
   EXPECT_FALSE(up.found);
 }
 
+TEST_F(LocationCacheTest, AddLocationWithCreateForCachesAnUnknownPath) {
+  ConnectServers(4);
+  const ServerSet vm = ServerSet::FirstN(4);
+  const std::uint32_t hash = LocationCache::HashOf("/store/new");
+  const auto up = cache_.AddLocation("/store/new", hash, 2, /*pending=*/false, true, vm);
+  ASSERT_TRUE(up.found);
+  EXPECT_EQ(up.info.have, ServerSet::Single(2));
+  EXPECT_EQ(up.info.query, vm.Without(ServerSet::Single(2)));
+  EXPECT_EQ(cache_.GetStats().creates, 1u);
+
+  // The entry is a plain hit now, with no query in flight.
+  const auto hit = Find("/store/new", vm);
+  ASSERT_TRUE(hit.found);
+  EXPECT_TRUE(hit.info.have.test(2));
+  EXPECT_FALSE(hit.deadlineActive);
+
+  // A name filed under someone else's hash would be unreachable: dropped.
+  const auto wrong = cache_.AddLocation("/store/other", hash, 1, false, true, vm);
+  EXPECT_FALSE(wrong.found);
+  EXPECT_FALSE(Find("/store/other", vm).found);
+  EXPECT_EQ(cache_.GetStats().creates, 1u);
+}
+
 TEST_F(LocationCacheTest, PendingPromotesToHave) {
   ConnectServers(2);
   const ServerSet vm = ServerSet::FirstN(2);

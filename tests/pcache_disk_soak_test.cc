@@ -155,7 +155,7 @@ TEST(PcacheDiskSoakTest, MultiGigabyteDiskTierFillsAndTurnsOver) {
       ASSERT_EQ(stats.diskWriteFailures, 0u);
       // A recent insert is still resident and readable through the cache.
       const auto recent = cache.LookupDetailed(path, index);
-      ASSERT_TRUE(recent.data.has_value()) << "at insert " << i;
+      ASSERT_TRUE(recent.data != nullptr) << "at insert " << i;
     }
   }
 

@@ -20,9 +20,15 @@
 //    DRAM tier must not dent the Zipf hot set's hit rate by more than
 //    5 points. Strict LRU (disk tier disabled) fails this bound; ghost
 //    admission passes it.
+// 6. Block identity and lifetime: hits share the cache's own Block, a
+//    promotion installs the Block the disk hit returned, and a Block a
+//    caller holds keeps its bytes whatever the cache does next. The proxy
+//    over the sim fabric assembles byte-exact replies from shared blocks,
+//    whichever tier serves them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -34,6 +40,7 @@
 #include "pcache/block_cache.h"
 #include "pcache/tiered_cache.h"
 #include "sched/thread_executor.h"
+#include "sim/cluster.h"
 #include "sim/event_engine.h"
 #include "util/clock.h"
 #include "util/rng.h"
@@ -336,7 +343,7 @@ TEST_P(PcachePropertyTest, TieredCacheNeverServesStaleOrTornBytes) {
       case 2:
       case 3: {  // lookup: any hit must carry the latest version's bytes
         const auto hit = cache.LookupDetailed(path, index);
-        if (hit.data.has_value()) {
+        if (hit.data != nullptr) {
           ASSERT_GT(entry.version, 0u)
               << "hit on a never-inserted/purged key " << path << "#" << index
               << " at step " << step;
@@ -351,7 +358,7 @@ TEST_P(PcachePropertyTest, TieredCacheNeverServesStaleOrTornBytes) {
           // be readable with the same bytes (promotion never loses data).
           if (hit.tier == CacheTier::kDisk && entry.pins == 0) {
             const auto again = cache.LookupDetailed(path, index);
-            ASSERT_TRUE(again.data.has_value())
+            ASSERT_TRUE(again.data != nullptr)
                 << "promotion lost the block at step " << step;
             ASSERT_EQ(*again.data, *hit.data)
                 << "promotion corrupted the block at step " << step;
@@ -676,6 +683,212 @@ TEST_F(TierMoveTest, InsertOverPinnedDiskCopyKeepsEveryPin) {
   EXPECT_EQ(cache.PurgeAll(), 1u);
   EXPECT_EQ(cache.UsedBytes(), 0u);
   EXPECT_TRUE(disk_.List("/c#b").empty());
+}
+
+// ------------------------------------------------ Block identity + lifetime
+
+class BlockLifetimeTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kBlock = 256;
+
+  // DRAM for 4 blocks and disk for 4, tier ops inline: the 4th DRAM block
+  // spills the 2 oldest, the 4th disk block evicts the 2 oldest.
+  BlockLifetimeTest() : disk_(clock_) {
+    cfg_.dram.blockSize = kBlock;
+    cfg_.dram.capacityBytes = 4 * kBlock;
+    cfg_.dram.highWatermark = 0.9;
+    cfg_.dram.lowWatermark = 0.5;
+    cfg_.diskCapacityBytes = 4 * kBlock;
+    cfg_.diskHighWatermark = 0.9;
+    cfg_.diskLowWatermark = 0.5;
+    cfg_.asyncTierOps = false;
+  }
+
+  static std::string Bytes(char fill) { return std::string(kBlock, fill); }
+
+  // Puts (path, index) in DRAM: the first insert lands on disk, the second
+  // proves reuse. Returns the Block a DRAM hit hands out.
+  static TieredBlockCache::Block InDram(TieredBlockCache& cache, const std::string& path,
+                                        std::uint64_t index, char fill) {
+    cache.Insert(path, index, Bytes(fill));
+    cache.Insert(path, index, Bytes(fill));
+    const auto hit = cache.LookupDetailed(path, index);
+    EXPECT_EQ(hit.tier, CacheTier::kDram);
+    return hit.data;
+  }
+
+  util::ManualClock clock_;
+  oss::MemOss disk_;
+  TieredCacheConfig cfg_;
+};
+
+TEST_F(BlockLifetimeTest, DramHitsShareOneBlock) {
+  TieredBlockCache cache(cfg_, &disk_, nullptr, clock_);
+  const TieredBlockCache::Block first = InDram(cache, "/s", 0, 's');
+  const auto second = cache.LookupDetailed("/s", 0);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(second.tier, CacheTier::kDram);
+  EXPECT_EQ(second.data.get(), first.get());
+
+  // The Block an insert hands in is the one hits hand out.
+  const TieredBlockCache::Block mine = MakeBlock(Bytes('m'));
+  cache.Insert("/s", 0, mine);
+  EXPECT_EQ(cache.LookupDetailed("/s", 0).data.get(), mine.get());
+}
+
+TEST_F(BlockLifetimeTest, PromotionInstallsTheBlockTheDiskHitReturned) {
+  TieredBlockCache cache(cfg_, &disk_, nullptr, clock_);
+  cache.Insert("/p", 0, Bytes('p'));  // first touch: disk
+  const auto fromDisk = cache.LookupDetailed("/p", 0);
+  ASSERT_EQ(fromDisk.tier, CacheTier::kDisk);
+  ASSERT_EQ(cache.GetTieredStats().promotions, 1u);  // inline
+  const auto fromDram = cache.LookupDetailed("/p", 0);
+  EXPECT_EQ(fromDram.tier, CacheTier::kDram);
+  EXPECT_EQ(fromDram.data.get(), fromDisk.data.get());
+  EXPECT_EQ(*fromDram.data, Bytes('p'));
+
+  // The same holds when the promotion is queued and runs on a later turn.
+  sim::EventEngine engine;
+  TieredCacheConfig async = cfg_;
+  async.asyncTierOps = true;
+  oss::MemOss disk(engine.clock());
+  TieredBlockCache queued(async, &disk, &engine, engine.clock());
+  queued.Insert("/q", 0, Bytes('q'));
+  const auto queuedDisk = queued.LookupDetailed("/q", 0);
+  ASSERT_EQ(queuedDisk.tier, CacheTier::kDisk);
+  ASSERT_EQ(queued.PendingTierOps(), 1u);
+  engine.RunUntilIdle();
+  const auto queuedDram = queued.LookupDetailed("/q", 0);
+  EXPECT_EQ(queuedDram.tier, CacheTier::kDram);
+  EXPECT_EQ(queuedDram.data.get(), queuedDisk.data.get());
+}
+
+TEST_F(BlockLifetimeTest, HeldBlockKeepsItsBytesThroughPurge) {
+  TieredBlockCache cache(cfg_, &disk_, nullptr, clock_);
+  const TieredBlockCache::Block one = InDram(cache, "/a", 0, 'a');
+  const TieredBlockCache::Block all = InDram(cache, "/b", 0, 'b');
+  EXPECT_EQ(cache.Purge("/a"), 1u);
+  EXPECT_FALSE(cache.Lookup("/a", 0).has_value());
+  EXPECT_EQ(*one, Bytes('a'));
+  EXPECT_EQ(cache.PurgeAll(), 1u);
+  EXPECT_FALSE(cache.Lookup("/b", 0).has_value());
+  EXPECT_EQ(*all, Bytes('b'));
+  EXPECT_EQ(cache.UsedBytes(), 0u);
+}
+
+TEST_F(BlockLifetimeTest, HeldBlockKeepsItsBytesThroughSpillAndDiskEviction) {
+  TieredBlockCache cache(cfg_, &disk_, nullptr, clock_);
+  const TieredBlockCache::Block held = InDram(cache, "/h", 0, 'h');
+  // Newer blocks push /h#0 out of DRAM (a spill), then off the disk tier.
+  for (std::uint64_t i = 0; i < 16 && cache.Contains("/h", 0); ++i) {
+    InDram(cache, "/o", i, 'o');
+  }
+  const auto stats = cache.GetTieredStats();
+  ASSERT_GE(stats.spills, 1u);
+  ASSERT_GE(stats.diskEvictions, 1u);
+  ASSERT_FALSE(cache.Contains("/h", 0));
+  EXPECT_EQ(*held, Bytes('h'));
+}
+
+TEST_F(BlockLifetimeTest, ReinsertMakesANewBlockAndTheHeldOneKeepsTheOldBytes) {
+  TieredBlockCache cache(cfg_, &disk_, nullptr, clock_);
+  const TieredBlockCache::Block old = InDram(cache, "/r", 0, 'o');
+  cache.Insert("/r", 0, Bytes('n'));
+  const auto next = cache.LookupDetailed("/r", 0);
+  ASSERT_NE(next.data, nullptr);
+  EXPECT_NE(next.data.get(), old.get());
+  EXPECT_EQ(*next.data, Bytes('n'));
+  EXPECT_EQ(*old, Bytes('o'));
+}
+
+TEST_F(BlockLifetimeTest, HeldBlockOutlivesTheCache) {
+  TieredBlockCache::Block dram;
+  TieredBlockCache::Block disk;
+  {
+    TieredBlockCache cache(cfg_, &disk_, nullptr, clock_);
+    dram = InDram(cache, "/d", 0, 'd');
+    cache.Insert("/d", 1, Bytes('k'));  // first touch: disk
+    disk = cache.LookupDetailed("/d", 1).data;
+  }
+  ASSERT_NE(dram, nullptr);
+  ASSERT_NE(disk, nullptr);
+  EXPECT_EQ(*dram, Bytes('d'));
+  EXPECT_EQ(*disk, Bytes('k'));
+}
+
+// The proxy assembles replies from shared blocks: a read straddling two
+// blocks, a read running past EOF and a 3-segment ReadV must come back
+// byte-exact whether their blocks come from the origin, the disk tier or
+// DRAM.
+TEST(ProxyBlockTest, RepliesAreByteExactFromEveryTier) {
+  constexpr std::uint32_t kBs = 64;
+  sim::ClusterSpec spec;
+  spec.servers = 2;
+  spec.cms.deadline = std::chrono::milliseconds(500);
+  spec.withProxy = true;
+  spec.proxyCache.blockSize = kBs;
+  spec.proxyCache.capacityBytes = 64 * kBs;
+  spec.proxyDiskCapacity = 64 * kBs;
+  sim::SimCluster cluster(spec);
+  cluster.Start();
+  std::string payload(200, '\0');  // 4 blocks, the last one 8 bytes
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>('A' + i % 53);
+  }
+  cluster.PlaceFile(0, "/store/f", payload);
+
+  auto& c = cluster.NewProxyClient();
+  const auto open = cluster.OpenAndWait(c, "/store/f", cms::AccessMode::kRead, false);
+  ASSERT_EQ(open.err, proto::XrdErr::kNone);
+  ProxyCacheNode& proxy = *cluster.proxy();
+
+  const auto read = [&](std::uint64_t offset, std::uint32_t length) {
+    std::optional<std::string> got;
+    c.Read(open.file, offset, length, [&](proto::XrdErr err, std::string data) {
+      EXPECT_EQ(err, proto::XrdErr::kNone);
+      got = std::move(data);
+    });
+    cluster.engine().RunUntilIdle();
+    EXPECT_TRUE(got.has_value());
+    return got.value_or("");
+  };
+  const std::vector<proto::ReadSeg> segs = {{10, 20}, {60, 70}, {190, 30}};
+  const auto readv = [&] {
+    std::optional<std::vector<std::string>> got;
+    c.ReadV(open.file, segs, [&](proto::XrdErr err, std::vector<std::string> chunks) {
+      EXPECT_EQ(err, proto::XrdErr::kNone);
+      got = std::move(chunks);
+    });
+    cluster.engine().RunUntilIdle();
+    EXPECT_TRUE(got.has_value());
+    return got.value_or(std::vector<std::string>{});
+  };
+  const std::vector<std::string> wantV = {payload.substr(10, 20), payload.substr(60, 70),
+                                          payload.substr(190)};
+
+  // Each op runs three times from a purged cache: the origin fills it (a
+  // first touch lands on disk), the disk tier serves and promotes, DRAM
+  // serves.
+  const std::vector<std::function<void()>> ops = {
+      [&] { EXPECT_EQ(read(40, 60), payload.substr(40, 60)); },  // blocks 0 and 1
+      [&] { EXPECT_EQ(read(150, 100), payload.substr(150)); },   // past EOF: short
+      [&] { EXPECT_EQ(readv(), wantV); },
+  };
+  for (std::size_t op = 0; op < ops.size(); ++op) {
+    (void)proxy.cache().PurgeAll();
+    for (const CacheTier tier : {CacheTier::kNone, CacheTier::kDisk, CacheTier::kDram}) {
+      SCOPED_TRACE("op " + std::to_string(op) + " tier " +
+                   std::to_string(static_cast<int>(tier)));
+      const TieredCacheStats before = proxy.cache().GetTieredStats();
+      ops[op]();
+      const TieredCacheStats after = proxy.cache().GetTieredStats();
+      EXPECT_EQ(after.misses > before.misses, tier == CacheTier::kNone);
+      EXPECT_EQ(after.diskHits > before.diskHits, tier == CacheTier::kDisk);
+      EXPECT_EQ(after.dramHits > before.dramHits, tier == CacheTier::kDram);
+    }
+  }
+  EXPECT_EQ(read(250, 10), "");  // wholly past EOF
+  EXPECT_EQ(proxy.cache().GetTieredStats().pinnedBlocks, 0u);
 }
 
 // ------------------------------------------------- bounded lifecycle table

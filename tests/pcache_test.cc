@@ -171,10 +171,10 @@ TEST(SingleFlightTest, CoalescesConcurrentRequests) {
   SingleFlight flight;
   int calls = 0;
   proto::XrdErr seen = proto::XrdErr::kIo;
-  auto waiter = [&](proto::XrdErr err, const std::string& data) {
+  auto waiter = [&](proto::XrdErr err, const pcache::Block& data) {
     ++calls;
     seen = err;
-    EXPECT_EQ(data, "payload");
+    EXPECT_EQ(*data, "payload");
   };
   EXPECT_TRUE(flight.Begin("/f", 0, waiter));    // first: owner
   EXPECT_FALSE(flight.Begin("/f", 0, waiter));   // second: piggybacks
@@ -182,7 +182,7 @@ TEST(SingleFlightTest, CoalescesConcurrentRequests) {
   EXPECT_EQ(flight.Coalesced(), 1u);
   EXPECT_EQ(flight.InFlight(), 2u);
 
-  flight.Complete("/f", 0, proto::XrdErr::kNone, "payload");
+  flight.Complete("/f", 0, proto::XrdErr::kNone, pcache::MakeBlock("payload"));
   EXPECT_EQ(calls, 2);
   EXPECT_EQ(seen, proto::XrdErr::kNone);
   EXPECT_EQ(flight.InFlight(), 1u);
@@ -217,12 +217,13 @@ TEST(PcacheConcurrencyTest, CacheAndSingleFlightSurviveThreads) {
         if (!cache.Lookup(path, idx).has_value()) {
           const bool owner = flight.Begin(
               path, idx,
-              [&delivered](proto::XrdErr, const std::string&) { ++delivered; });
+              [&delivered](proto::XrdErr, const pcache::Block&) { ++delivered; });
           if (owner) {
             cache.Insert(path, idx, std::string(64, 'x'),
                          /*pinned=*/(i % 5 == 0));
             if (i % 5 == 0) cache.Unpin(path, idx);
-            flight.Complete(path, idx, proto::XrdErr::kNone, std::string(64, 'x'));
+            flight.Complete(path, idx, proto::XrdErr::kNone,
+                            pcache::MakeBlock(std::string(64, 'x')));
           }
         }
         if (i % 97 == 0) (void)cache.Purge(path);

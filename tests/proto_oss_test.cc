@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <string>
 
 #include "oss/local_oss.h"
 #include "oss/mem_oss.h"
@@ -202,6 +204,93 @@ TEST(MemOssTest, SparseWriteZeroFills) {
   const Result<std::string> data = fs.Read("/f", 0, 5);
   ASSERT_TRUE(data);
   EXPECT_EQ(data.value(), std::string("\0\0\0\0x", 5));
+}
+
+// The running byte total against a recount, under a capacity: random
+// creates, overwrites, growth (sparse or not), Puts and unlinks. A model
+// that recounts every file decides where kNoSpace must fire, as MemOss did
+// before it kept a running total.
+TEST(MemOssTest, RunningTotalMatchesARecountUnderCapacity) {
+  constexpr std::uint64_t kCapacity = 4096;
+  util::ManualClock clock;
+  oss::MemOss fs(clock, kCapacity);
+  std::map<std::string, std::string> model;
+  const auto modelTotal = [&] {
+    std::uint64_t total = 0;
+    for (const auto& [_, data] : model) total += data.size();
+    return total;
+  };
+  const auto recount = [&] {
+    std::uint64_t total = 0;
+    for (const std::string& path : fs.List("/")) total += fs.Stat(path)->size;
+    return total;
+  };
+  util::Rng rng(4242);
+  int noSpace = 0;
+  for (int op = 0; op < 5000; ++op) {
+    const std::string path = "/m/" + std::to_string(rng.NextBelow(12));
+    const bool exists = model.count(path) != 0;
+    switch (rng.NextBelow(8)) {
+      case 0: {
+        const auto r = fs.Create(path);
+        if (exists) {
+          EXPECT_EQ(r.code(), proto::XrdErr::kExists) << op;
+        } else if (modelTotal() >= kCapacity) {
+          EXPECT_EQ(r.code(), proto::XrdErr::kNoSpace) << op;
+          ++noSpace;
+        } else {
+          EXPECT_TRUE(r.ok()) << op;
+          model[path];
+        }
+        break;
+      }
+      case 1:
+      case 2:
+      case 3:
+      case 4: {
+        const std::uint64_t size = exists ? model[path].size() : 0;
+        const std::uint64_t offset = rng.NextBelow(size + 300);  // may leave a gap
+        std::string data(rng.NextBelow(400), '\0');
+        for (auto& b : data) b = static_cast<char>('a' + rng.NextBelow(26));
+        const auto r = fs.Write(path, offset, data);
+        if (!exists) {
+          EXPECT_EQ(r.code(), proto::XrdErr::kNotFound) << op;
+          break;
+        }
+        std::string& want = model[path];
+        const std::uint64_t end = offset + data.size();
+        if (end > want.size() && modelTotal() + (end - want.size()) > kCapacity) {
+          EXPECT_EQ(r.code(), proto::XrdErr::kNoSpace) << op;
+          ++noSpace;
+          break;
+        }
+        EXPECT_TRUE(r.ok()) << op;
+        if (end > want.size()) want.resize(end, '\0');
+        want.replace(offset, data.size(), data);
+        break;
+      }
+      case 5: {
+        std::string data(rng.NextBelow(300), 'p');
+        fs.Put(path, data);  // seeding bypasses the capacity
+        model[path] = std::move(data);
+        break;
+      }
+      default: {
+        const auto r = fs.Unlink(path);
+        EXPECT_EQ(r.ok(), exists) << op;
+        model.erase(path);
+      }
+    }
+    ASSERT_EQ(fs.TotalBytes(), modelTotal()) << "after op " << op;
+    ASSERT_EQ(fs.TotalBytes(), recount()) << "after op " << op;
+    ASSERT_EQ(fs.UsedBytes(), fs.TotalBytes());
+  }
+  EXPECT_GT(noSpace, 0);  // the capacity was reached, repeatedly
+  for (const auto& [path, want] : model) {
+    const auto got = fs.Read(path, 0, static_cast<std::uint32_t>(want.size() + 1));
+    ASSERT_TRUE(got);
+    EXPECT_EQ(got.value(), want) << path;
+  }
 }
 
 TEST(MemOssTest, ListByPrefix) {

@@ -98,15 +98,21 @@ class RedirectorTest : public ::testing::TestWithParam<Role> {
     return *probe;
   }
 
-  // Child at `addr` reports that it holds `path`.
-  void Have(net::NodeAddr addr, const std::string& path) {
+  // Child at `addr` reports that it holds `path` (`newfile`: unasked, as
+  // the notice of a creation beneath it).
+  void Have(net::NodeAddr addr, const std::string& path, bool newfile = false) {
     const std::uint32_t hash = cms::LocationCache::HashOf(path);
     if (GetParam() == Role::kHead) {
-      fabric_.Send(addr, kOwner, proto::CmsHave{path, hash, false, true, false});
+      fabric_.Send(addr, kOwner, proto::CmsHave{path, hash, false, true, newfile});
     } else {
-      fabric_.Send(addr, kOwner, proto::FedHave{path, hash, false, true, false});
+      fabric_.Send(addr, kOwner, proto::FedHave{path, hash, false, true, newfile});
     }
     engine_.RunUntilIdle();
+  }
+
+  int QueriesTo(net::NodeAddr addr) {
+    return children_[addr]->Count<proto::CmsQuery>() +
+           children_[addr]->Count<proto::FedQuery>();
   }
 
   void Send(proto::Message m) {
@@ -207,6 +213,36 @@ TEST_P(RedirectorTest, StatUnlinkChecksumAnswerRedirectWaitAndError) {
   // The three redirects count; waits count only for opens.
   EXPECT_EQ(Snapshot().Counter(Counter("redirects_issued")), 3u);
   EXPECT_EQ(Snapshot().Counter(Counter("waits_issued")), 0u);
+}
+
+TEST_P(RedirectorTest, NewfileHaveCachesAPathNobodyAskedAbout) {
+  Build(/*fastResponse=*/false);
+  Join(10, "s1");
+  Join(11, "s2");
+
+  // A creation beneath s1, announced before any client asked for the path:
+  // the next stat is redirected to s1 with no flood.
+  Have(10, "/store/born", /*newfile=*/true);
+  EXPECT_EQ(Snapshot().Counter("cache.creates"), 1u);
+  Send(proto::XrdStat{1, "/store/born"});
+  ASSERT_NE(client_.Last<proto::XrdStatResp>(), nullptr);
+  EXPECT_EQ(client_.Last<proto::XrdStatResp>()->status, proto::XrdStatus::kRedirect);
+  EXPECT_EQ(client_.Last<proto::XrdStatResp>()->redirectNode, 10u);
+  EXPECT_EQ(QueriesTo(10) + QueriesTo(11), 0);
+  EXPECT_EQ(Snapshot().Counter("resolver.queries_sent"), 0u);
+
+  // A plain Have for a path nobody asked about is still dropped: the stat
+  // that follows floods and waits.
+  Have(11, "/store/plain");
+  EXPECT_EQ(Snapshot().Counter("cache.creates"), 1u);
+  Send(proto::XrdStat{2, "/store/plain"});
+  EXPECT_EQ(client_.Last<proto::XrdStatResp>()->status, proto::XrdStatus::kWait);
+  EXPECT_EQ(QueriesTo(10), 1);
+  EXPECT_EQ(QueriesTo(11), 1);
+
+  // Nor does a new-file notice outside every export create an entry.
+  Have(10, "/elsewhere/born", /*newfile=*/true);
+  EXPECT_EQ(Snapshot().Counter("cache.creates"), 2u);  // /store/plain's look-up
 }
 
 TEST_P(RedirectorTest, CreateAvoidsTheRefusingChildUnlessItIsTheOnlyWritableOne) {
